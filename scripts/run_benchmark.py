@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Paired synthetic benchmark over distillation strategies and classifiers.
 
-Runs every distillation strategy with and without prototype refinement on
-the default desk-scale stream (10 tasks, 5 classes each, 64-d features),
-three paired trials per variant. Trial i shifts the model seed and the data
-seed together, so all variants inside a trial see identical task streams.
+Runs `seca ablate-distill` at the default desk-scale stream (10 tasks,
+5 classes each, 64-d features): every distillation strategy with and
+without prototype refinement, three paired trials per variant. Trial i
+shifts the model seed and the data seed together, so all variants inside
+a trial see identical task streams. SECA_THREADS caps the worker count.
 
 Prints two blocks of mean/std Last and Avg accuracy, then the headline
 margins the acceptance suite checks. Use --json to dump the raw rows.
@@ -13,87 +14,63 @@ margins the acceptance suite checks. Use --json to dump the raw rows.
 import argparse
 import json
 import sys
+import tempfile
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
-from seca.config import RunConfig, build_stream
-from seca.trainer import run_stream
-
-DISTILLS = ("seq", "clip_kd", "vanilla", "avg_kd", "sg_akt")
-CLASSIFIERS = ("only_text", "se_vpr")
+from seca import cli
 
 
-def trial_config(base, distill, classifier, i):
-    # paired trials: model seed and data seed move together
-    return replace(
-        base,
-        seed=base.seed + i,
-        distill=distill,
-        classifier=classifier,
-        data=base.data.reseed(base.data.seed + i),
-    )
-
-
-def run_one(cfg):
-    stream = build_stream(cfg.data)
-    _, metrics = run_stream(cfg, stream)
-    return metrics.last, metrics.avg
+def collect(out: Path) -> list[dict]:
+    """One row per variant from rows.json, with each trial's leaf summary."""
+    table = []
+    for row in json.loads((out / "rows.json").read_text())["rows"]:
+        leaves = sorted((out / "runs" / row["variant"]).iterdir(),
+                        key=lambda p: int(p.name))
+        cfg = json.loads((leaves[0] / "manifest.json").read_text())["config"]
+        runs = [json.loads((d / "summary.json").read_text()) for d in leaves]
+        table.append({
+            "distill": cfg["distill"],
+            "classifier": cfg["classifier"],
+            "last_mean": row["last"],
+            "avg_mean": row["avg"],
+            "lasts": [r["last"] for r in runs],
+            "avgs": [r["avg"] for r in runs],
+        })
+    return table
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=3)
-    ap.add_argument("--jobs", type=int, default=4)
     ap.add_argument("--json", metavar="PATH", help="write raw rows as JSON")
     args = ap.parse_args(argv)
 
-    base = RunConfig()
-    jobs = []
-    for classifier in CLASSIFIERS:
-        for distill in DISTILLS:
-            for i in range(args.trials):
-                jobs.append((distill, classifier, i))
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.time()
+        code = cli.main(["ablate-distill", "--out", out])
+        wall = time.time() - t0
+        if code != 0:
+            return code
+        table = collect(Path(out))
 
-    t0 = time.time()
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        results = list(
-            pool.map(lambda j: run_one(trial_config(base, *j)), jobs)
-        )
-    wall = time.time() - t0
-
-    rows = {}
-    for (distill, classifier, i), (last, avg) in zip(jobs, results):
-        rows.setdefault((distill, classifier), []).append((last, avg))
-
-    table = []
-    for classifier in CLASSIFIERS:
+    for classifier in dict.fromkeys(r["classifier"] for r in table):
         label = "with refinement" if classifier == "se_vpr" else "text-only classifier"
         print(f"\n{label}")
         print(f"  {'strategy':10s} {'Last':>14s} {'Avg':>14s}")
-        for distill in DISTILLS:
-            pairs = rows[(distill, classifier)]
-            lasts = np.array([p[0] for p in pairs])
-            avgs = np.array([p[1] for p in pairs])
+        for r in table:
+            if r["classifier"] != classifier:
+                continue
+            lasts, avgs = np.array(r["lasts"]), np.array(r["avgs"])
             print(
-                f"  {distill:10s} {lasts.mean():7.2f} ± {lasts.std():4.2f}"
-                f" {avgs.mean():7.2f} ± {avgs.std():4.2f}"
-            )
-            table.append(
-                {
-                    "distill": distill,
-                    "classifier": classifier,
-                    "last_mean": float(lasts.mean()),
-                    "avg_mean": float(avgs.mean()),
-                    "lasts": lasts.tolist(),
-                    "avgs": avgs.tolist(),
-                }
+                f"  {r['distill']:10s} {r['last_mean']:7.2f} ± {lasts.std():4.2f}"
+                f" {r['avg_mean']:7.2f} ± {avgs.std():4.2f}"
             )
 
     def mean_last(distill, classifier):
-        return float(np.mean([p[0] for p in rows[(distill, classifier)]]))
+        return next(r["last_mean"] for r in table
+                    if (r["distill"], r["classifier"]) == (distill, classifier))
 
     full = mean_last("sg_akt", "se_vpr")
     seq_base = mean_last("seq", "only_text")
@@ -102,7 +79,8 @@ def main(argv=None):
           f" margin {full - seq_base:+.2f}")
     print(f"refinement on ({full:.2f}) vs text-only ({akt_text:.2f}):"
           f" margin {full - akt_text:+.2f}")
-    print(f"wall time {wall:.1f}s for {len(jobs)} runs")
+    runs = sum(len(r["lasts"]) for r in table)
+    print(f"wall time {wall:.1f}s for {runs} runs")
 
     if args.json:
         with open(args.json, "w") as fh:

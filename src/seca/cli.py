@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import theory
+from . import seeding, theory
 from .config import BETA_TASK_INDEX, RunConfig, build_stream, config_dict, \
     load_config
 from .datastream import BANK_VERSION, flatten_stream, gen_synthetic, \
@@ -41,8 +41,6 @@ FORMAT_VERSIONS = {
     "feature_bank": BANK_VERSION,
 }
 TRIALS = 3
-
-_TAG_THEORY = 8
 
 
 def _write_json(path, obj) -> None:
@@ -251,8 +249,7 @@ def cmd_theory_check(args) -> int:
     taus = (0.1, 1.0, 10.0)
     rows = []
     for i in range(args.instances):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([args.seed, _TAG_THEORY, i]))
+        rng = seeding.rng(args.seed, "theory", i)
         k = int(rng.integers(2, 9))
         tau = taus[i % len(taus)]
         losses = rng.uniform(0.0, 10.0, k)

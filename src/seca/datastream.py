@@ -20,19 +20,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import seeding
 from .errors import ConfigError, DataFormatError
 
 BANK_MAGIC = b"SECAFB1\x00"
 BANK_VERSION = 1
 # magic, version, feature dim, class count, sample count
 _HEADER = struct.Struct("<8sIIIQ")
-
-_TAG_SYNTH = 6
-_TAG_SPLIT = 7
-
-
-def _rng(seed: int, tag: int, *extra: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, tag, *extra]))
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -82,13 +76,6 @@ class TaskStream:
     def num_tasks(self) -> int:
         return len(self.tasks)
 
-    @property
-    def all_class_ids(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for task in self.tasks:
-            out.extend(task.class_ids)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:
@@ -128,7 +115,7 @@ def gen_synthetic(spec: SyntheticSpec) -> TaskStream:
     center and a private direction so that same-superclass means correlate
     at exactly spec.mean_correlation.
     """
-    rng = _rng(spec.seed, _TAG_SYNTH)
+    rng = seeding.rng(spec.seed, "synth")
     total = spec.num_tasks * spec.classes_per_task
     centers = rng.standard_normal((spec.superclasses, spec.dim))
     perts = rng.standard_normal((total, spec.dim))
@@ -270,7 +257,7 @@ def load_feature_bank(path, rule: SplitRule) -> TaskStream:
             raise DataFormatError(
                 "id-range", f"class {k} needs at least 2 samples to split"
             )
-        order = _rng(rule.seed, _TAG_SPLIT, k).permutation(rows.size)
+        order = seeding.rng(rule.seed, "split", k).permutation(rows.size)
         cut = int(round(rule.train_fraction * rows.size))
         cut = min(max(cut, 1), rows.size - 1)
         train_idx.append(rows[order[:cut]])

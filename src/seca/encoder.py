@@ -12,15 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from . import seeding, tensor as T
 from .errors import ConfigError
-
-# child-seed tags so each component draws from its own stream
-_TAG_BACKBONE = 1
-_TAG_ADAPTER = 2
-_TAG_TOKENS = 3
-_TAG_PROMPT = 4
-_TAG_TEXT = 5
 
 
 @dataclass(frozen=True)
@@ -38,10 +31,6 @@ class EncoderConfig:
                 raise ConfigError(f"encoder.{name}: must be >= 1")
 
 
-def _rng(seed: int, tag: int, *extra: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, *extra]))
-
-
 def _affine(rng, n_in: int, n_out: int, dtype):
     w = (rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)).astype(dtype)
     b = (0.02 * rng.standard_normal(n_out)).astype(dtype)
@@ -52,7 +41,7 @@ class VisualBackbone:
     """L frozen residual feed-forward blocks at width d_v."""
 
     def __init__(self, cfg: EncoderConfig, dtype=np.float64):
-        rng = _rng(cfg.seed, _TAG_BACKBONE)
+        rng = seeding.rng(cfg.seed, "backbone")
         self.cfg = cfg
         self.blocks = []
         for _ in range(cfg.layers):
@@ -92,7 +81,7 @@ class AdapterStack:
         self.layers: list[dict[str, T.Parameter]] = []
         if _empty:
             return
-        rng = _rng(seed, _TAG_ADAPTER)
+        rng = seeding.rng(seed, "adapter")
         d, w = cfg.d_v, cfg.adapter_width
         for layer in range(cfg.layers):
             down_w = (rng.standard_normal((d, w)) / np.sqrt(d)).astype(dtype)
@@ -141,7 +130,7 @@ class TextEncoder:
     """Frozen mixer from pooled tokens to a unit-norm text feature."""
 
     def __init__(self, cfg: EncoderConfig, dtype=np.float64):
-        rng = _rng(cfg.seed, _TAG_TEXT)
+        rng = seeding.rng(cfg.seed, "text")
         self.cfg = cfg
         self.w1, self.b1 = _affine(rng, cfg.d_t, 4 * cfg.d_t, dtype)
         self.w2, self.b2 = _affine(rng, 4 * cfg.d_t, cfg.d_t, dtype)
@@ -172,7 +161,7 @@ class PromptBank:
         if len(set(self.class_ids)) != len(self.class_ids):
             raise ConfigError("class registry contains duplicate ids")
         self.index = {c: i for i, c in enumerate(self.class_ids)}
-        rng = _rng(registry_seed, _TAG_TOKENS)
+        rng = seeding.rng(registry_seed, "tokens")
         table = (
             rng.standard_normal((len(self.class_ids), cfg.d_t)) / np.sqrt(cfg.d_t)
         ).astype(dtype)
@@ -182,7 +171,7 @@ class PromptBank:
     def new_prompt(self, task: int, seed: int) -> T.Parameter:
         if task in self.prompts:
             raise ConfigError(f"prompt for task {task} already exists")
-        rng = _rng(seed, _TAG_PROMPT, task)
+        rng = seeding.rng(seed, "prompt", task)
         p = T.Parameter(
             (0.02 * rng.standard_normal((self.cfg.prompt_tokens, self.cfg.d_t))).astype(
                 self.token_table.data.dtype
@@ -201,9 +190,6 @@ class PromptBank:
         except KeyError as e:
             raise ValueError(f"unknown class id {e.args[0]}") from None
         return T.take_rows(self.token_table, np.asarray(idx, dtype=np.int64))
-
-    def prompt_checksum(self, upto_task: int) -> str:
-        return T.checksum([self.prompts[t].data for t in sorted(self.prompts) if t <= upto_task])
 
 
 def text_features(

@@ -26,7 +26,9 @@ class DataFormatError(SecaError):
     """Malformed binary input (feature bank or checkpoint).
 
     ``code`` is a short machine-readable tag: "bad-magic", "bad-version",
-    "truncated", "id-range", or "bad-manifest".
+    "truncated", "id-range", "bad-manifest", or "corrupt" (a checkpoint
+    whose sections frame correctly but whose content does not decode,
+    parse, or rebuild a valid state).
     """
 
     exit_code = 3

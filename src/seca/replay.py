@@ -13,15 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import seeding, tensor as T
 from .datastream import write_feature_bank
 from .encoder import clip_logits
 from .errors import ConfigError, DataFormatError, ProtocolError
 from .tensor import cross_entropy_rows, softmax_temp
 
 VAR_FLOOR = 1e-6
-
-_TAG_REPLAY = 11
 
 _STORE_MAGIC = b"SECARS1\x00"
 
@@ -117,7 +115,7 @@ def sample(store: ReplayStore, class_id: int, n: int, seed: int) -> np.ndarray:
     if n < 0:
         raise ValueError("sample count must be non-negative")
     g = store.classes[class_id]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_REPLAY, class_id]))
+    rng = seeding.rng(seed, "replay", class_id)
     z = rng.standard_normal((n, store.dim))
     if g.diagonal:
         x = g.mu + z * np.sqrt(g.cov)

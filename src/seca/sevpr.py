@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
+from . import seeding, tensor as T
 from .encoder import EncoderConfig, clip_logits
 from .errors import ConfigError, ProtocolError
 
 VARIANTS = ("only_text", "centroid_clip", "centroid_adapted", "linear", "se_vpr")
-
-_TAG_AFFINITY = 10
 
 
 class PrototypeBank:
@@ -116,7 +114,7 @@ class AffinityModel:
 
     @classmethod
     def create(cls, cfg: EncoderConfig, seed: int, gamma: float, dtype=np.float64):
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _TAG_AFFINITY]))
+        rng = seeding.rng(seed, "affinity")
         h = (rng.standard_normal((cfg.d_t, cfg.d_t)) / np.sqrt(cfg.d_t)).astype(dtype)
         return cls(T.Parameter(h, name="affinity.h_proj"), gamma)
 
@@ -238,10 +236,11 @@ def classifier_variant(
     refined: T.Tensor | None = None,
     head: LinearHead | None = None,
 ) -> T.Tensor | None:
-    """Visual-branch probabilities under the chosen classifier design.
+    """Visual-branch probabilities over class_ids under one classifier design.
 
     only_text has no visual branch and returns None; the caller drops the
-    visual term from the hybrid score.
+    visual term. linear takes the head's columns of class_ids, in order;
+    se_vpr scores against ``refined``, one row per class id.
     """
     if kind not in VARIANTS:
         raise ConfigError(f"unknown classifier variant {kind!r}")
@@ -254,9 +253,14 @@ def classifier_variant(
     if kind == "linear":
         if head is None:
             raise ConfigError("linear variant needs a head")
-        if head.class_ids != tuple(int(k) for k in class_ids):
-            raise ProtocolError("head classes disagree with requested classes")
-        return T.softmax_temp(head.logits(f_adapted), 1.0)
+        cols = {k: i for i, k in enumerate(head.class_ids)}
+        try:
+            idx = np.array([cols[int(k)] for k in class_ids], dtype=np.int64)
+        except KeyError as e:
+            raise ProtocolError(
+                f"linear head has no column for class {e.args[0]}") from None
+        logits = T.transpose(T.take_rows(T.transpose(head.logits(f_adapted)), idx))
+        return T.softmax_temp(logits, 1.0)
     if refined is None:
         raise ConfigError("se_vpr variant needs refined prototypes")
     return visual_prob(f_adapted, refined, tau)

@@ -19,14 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
+from . import seeding, tensor as T
 from .encoder import AdapterStack, EncoderConfig, PromptBank, TextEncoder, \
     VisualBackbone, clip_logits, text_features
 from .errors import ConfigError, ProtocolError
 
 STRATEGIES = ("seq", "clip_kd", "vanilla", "avg_kd", "sg_akt")
-
-_TAG_PROJECTORS = 9
+# strategies whose teacher blends every pool entry by per-entry scores
+POOL_STRATEGIES = ("avg_kd", "sg_akt")
 
 
 @dataclass
@@ -94,9 +94,7 @@ class SemanticProjectors:
 
     @classmethod
     def create(cls, cfg: EncoderConfig, seed: int, dtype=np.float64):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed, _TAG_PROJECTORS])
-        )
+        rng = seeding.rng(seed, "projectors")
         w_s = (rng.standard_normal((cfg.d_t, cfg.d_v)) / np.sqrt(cfg.d_t))
         w_v = (rng.standard_normal((cfg.d_v, cfg.d_v)) / np.sqrt(cfg.d_v))
         return cls(
@@ -235,39 +233,17 @@ def teacher_result(
         raise ConfigError(f"unknown distillation strategy {strategy!r}")
     if strategy == "seq":
         return None
-    if strategy == "clip_kd":
-        views = [backbone.forward(x, None)]
-    elif strategy == "vanilla":
-        if len(pool) == 0:
-            return None
-        views = [backbone.forward(x, pool.stacks[-1])]
-    else:
+    if strategy in POOL_STRATEGIES:
         views = pooled_views(backbone, x, pool)
+    elif strategy == "clip_kd":
+        views = [backbone.forward(x, None)]
+    elif len(pool) == 0:  # vanilla before any task has finished
+        return None
+    else:
+        views = [backbone.forward(x, pool.stacks[-1])]
     if strategy == "sg_akt":
         alpha = relevance_scores(sem, views, ys_local, projectors)
     else:
         n = views[0].data.shape[0]
         alpha = T.Tensor(np.zeros((n, len(views)), dtype=views[0].data.dtype))
     return aggregate(views, alpha, lam)
-
-
-def distill_variant(
-    strategy: str,
-    *,
-    backbone: VisualBackbone,
-    x,
-    f_v: T.Tensor,
-    pool: AdapterPool,
-    projectors: SemanticProjectors,
-    text_feats: T.Tensor,
-    ys_local,
-    sem: list[T.Tensor] | None = None,
-    lam: float = 1.0,
-    tau_prime: float = 20.0,
-    eps: float = T.KL_EPS_DEFAULT,
-) -> T.Tensor:
-    """The strategy's distillation loss (the KL term alone)."""
-    res = teacher_result(strategy, backbone, x, pool, sem, ys_local, projectors, lam)
-    if res is None:
-        return T.scalar(0.0, dtype=f_v.data.dtype)
-    return loss_sgakt(res.v_agg, f_v, text_feats, tau_prime, eps)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
+from . import seeding, tensor as T
 from .config import RunConfig, beta_value, config_dict, parse_config
 from .datastream import TaskData, TaskStream
 from .encoder import AdapterStack, PromptBank, TextEncoder, VisualBackbone, \
@@ -27,26 +27,19 @@ from .errors import ConfigError, DataFormatError, ProtocolError
 from .replay import ReplayStore, deserialize_store, draw_pseudo_batch, \
     fit_gaussians, replay_losses, serialize_store
 from .sevpr import AffinityModel, LinearHead, PrototypeBank, \
-    adapted_prototypes, affinity_matrix, classifier_variant, loss_ce_v, \
-    loss_reg, raw_prototypes, refine_prototypes, snapshot_prototypes
-from .sgakt import AdapterPool, PoolEntry, SemanticProjectors, loss_agg, \
-    loss_sgakt, semantic_vectors, teacher_result
+    adapted_prototypes, affinity_matrix, classifier_variant, loss_reg, \
+    raw_prototypes, refine_prototypes, snapshot_prototypes
+from .sgakt import POOL_STRATEGIES, AdapterPool, PoolEntry, \
+    SemanticProjectors, loss_agg, loss_sgakt, semantic_vectors, teacher_result
 
 CKPT_MAGIC = b"SECA-CKPT"
 CKPT_VERSION = 1
 
-_TAG_ORDER = 12
-_TAG_REPLAY_DRAW = 13
-
 EVAL_BATCH = 256
 
 
-def _rng(seed: int, tag: int, *extra: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed), tag, *extra]))
-
-
 def _replay_seed(seed: int, counter: int) -> int:
-    seq = np.random.SeedSequence([int(seed), _TAG_REPLAY_DRAW, int(counter)])
+    seq = seeding.seed_sequence(seed, "replay_draw", int(counter))
     return int(seq.generate_state(1)[0])
 
 
@@ -150,17 +143,20 @@ def _train_support(state: TrainState) -> list[int]:
     return list(state.seen[-1])
 
 
-def _head_cols(head: LinearHead, f: T.Tensor, support) -> T.Tensor:
-    all_ids = head.class_ids
-    idx = np.array([all_ids.index(int(k)) for k in support], dtype=np.int64)
-    return T.transpose(T.take_rows(T.transpose(head.logits(f)), idx))
-
-
-def _refined_all(state: TrainState, prompt) -> T.Tensor:
-    seen = state.seen_ids()
-    z = text_features(state.text_enc, state.prompts, seen, prompt)
+def _refined(state: TrainState, prompt, ids) -> T.Tensor:
+    z = text_features(state.text_enc, state.prompts, ids, prompt)
     m = affinity_matrix(z, state.affinity.h_proj, state.cfg.affinity_gamma)
-    return refine_prototypes(m, state.protos.raw_matrix(seen))
+    return refine_prototypes(m, state.protos.raw_matrix(ids))
+
+
+def _rows(ids: list[int], keys) -> np.ndarray:
+    return np.array([ids.index(int(k)) for k in keys], dtype=np.int64)
+
+
+def _visual(state: TrainState, f, class_ids, tau: float, refined):
+    return classifier_variant(state.cfg.classifier, f_adapted=f,
+                              bank=state.protos, class_ids=class_ids, tau=tau,
+                              refined=refined, head=state.head)
 
 
 def batch_loss(state: TrainState, x, ys_global) -> tuple[T.Tensor, np.ndarray | None]:
@@ -181,31 +177,21 @@ def batch_loss(state: TrainState, x, ys_global) -> tuple[T.Tensor, np.ndarray | 
     probs_t = T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0)
     loss = T.cross_entropy_rows(probs_t, ys_local)
 
-    refined_all = None
+    refined_all = refined_sup = None
     if cfg.classifier == "se_vpr":
         seen = state.seen_ids()
-        refined_all = _refined_all(state, prompt)
-        sup_idx = np.array([seen.index(int(k)) for k in support], dtype=np.int64)
-        refined_sup = T.take_rows(refined_all, sup_idx)
-        loss = T.add(loss, loss_ce_v(f_v, refined_sup, ys_local, cfg.tau))
-        if s > 1:
-            old = [k for ids in state.seen[:-1] for k in ids]
-            old_idx = np.array([seen.index(int(k)) for k in old], dtype=np.int64)
-            loss = T.add(loss, loss_reg(T.take_rows(refined_all, old_idx),
-                                        state.protos.snapshot_matrix(old)))
-    elif cfg.classifier == "centroid_clip":
-        loss = T.add(loss, loss_ce_v(f_v, state.protos.raw_matrix(support),
-                                     ys_local, cfg.tau))
-    elif cfg.classifier == "centroid_adapted":
-        loss = T.add(loss, loss_ce_v(f_v, state.protos.adapted_matrix(support),
-                                     ys_local, cfg.tau))
-    elif cfg.classifier == "linear":
-        logits = _head_cols(state.head, f_v, support)
-        loss = T.add(loss, T.cross_entropy_rows(T.softmax_temp(logits, 1.0),
-                                                ys_local))
+        refined_all = _refined(state, prompt, seen)
+        refined_sup = T.take_rows(refined_all, _rows(seen, support))
+    vis = _visual(state, f_v, support, cfg.tau, refined_sup)
+    if vis is not None:
+        loss = T.add(loss, T.cross_entropy_rows(vis, ys_local))
+    if refined_all is not None and s > 1:
+        old = [k for ids in state.seen[:-1] for k in ids]
+        loss = T.add(loss, loss_reg(T.take_rows(refined_all, _rows(seen, old)),
+                                    state.protos.snapshot_matrix(old)))
 
     alpha_bar = None
-    if s > 1 and cfg.distill != "seq":
+    if s > 1:
         sem = None
         if cfg.distill == "sg_akt":
             sem = semantic_vectors(state.text_enc, state.prompts, support, s)
@@ -216,31 +202,21 @@ def batch_loss(state: TrainState, x, ys_global) -> tuple[T.Tensor, np.ndarray | 
             kl = loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime,
                             cfg.kl_epsilon)
             loss = T.add(loss, T.mul(kl, beta_value(cfg, s)))
-            if cfg.distill in ("sg_akt", "avg_kd"):
+            if cfg.distill in POOL_STRATEGIES:
                 alpha_bar = res.alpha.data.mean(axis=0)
 
     if cfg.replay and s > 1:
+        # replay trains on every seen class, so support == seen here
         past = [k for ids in state.seen[:-1] for k in ids]
         seed_b = _replay_seed(cfg.seed, state.replay_counter)
         state.replay_counter += 1
         pseudo = draw_pseudo_batch(state.store, past, cfg.batch_size, seed_b)
-        if cfg.classifier == "se_vpr":
-            vis = refined_all
-        elif cfg.classifier == "centroid_clip":
-            vis = state.protos.raw_matrix(support)
-        elif cfg.classifier == "centroid_adapted":
-            vis = state.protos.adapted_matrix(support)
-        else:
-            vis = None
-        lt, lv = replay_losses(pseudo, text_sup, vis, support, cfg.tau)
+        lt, _ = replay_losses(pseudo, text_sup, None, support, cfg.tau)
         loss = T.add(loss, lt)
+        vis = _visual(state, T.Tensor(pseudo.x), support, cfg.tau, refined_all)
         if vis is not None:
-            loss = T.add(loss, lv)
-        elif cfg.classifier == "linear":
-            logits = _head_cols(state.head, T.Tensor(pseudo.x), support)
             p_local = np.array([pos[int(k)] for k in pseudo.y], dtype=np.int64)
-            loss = T.add(loss, T.cross_entropy_rows(
-                T.softmax_temp(logits, 1.0), p_local))
+            loss = T.add(loss, T.cross_entropy_rows(vis, p_local))
 
     return loss, alpha_bar
 
@@ -261,13 +237,13 @@ def train_task(state: TrainState, task: TaskData) -> None:
     if cfg.classifier == "centroid_adapted":
         adapted_prototypes(state.protos, state.backbone, state.adapter,
                            task.train_x, task.train_y, new_ids)
-    if cfg.classifier == "linear":
+    if state.head is not None:
         state.head.add_task(s, new_ids)
 
     params = _trainables(state)
     n = task.train_x.shape[0]
     for epoch in range(cfg.epochs_per_task):
-        order = _rng(cfg.seed, _TAG_ORDER, s, epoch).permutation(n)
+        order = seeding.rng(cfg.seed, "order", s, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             for p in params:
@@ -284,9 +260,10 @@ def train_task(state: TrainState, task: TaskData) -> None:
     # boundary bookkeeping; order matters for the snapshot semantics
     state.prompts.freeze_task(s)
     if cfg.classifier == "se_vpr":
+        seen = state.seen_ids()
         with T.no_grad():
-            refined = _refined_all(state, state.prompts.prompts[s])
-        state.protos.set_refined(state.seen_ids(), refined.data)
+            refined = _refined(state, state.prompts.prompts[s], seen)
+        state.protos.set_refined(seen, refined.data)
         snapshot_prototypes(state.protos)
     state.pool.admit_and_prune(state.adapter)
     if cfg.replay:
@@ -305,24 +282,15 @@ def predict_scores(state: TrainState, x) -> np.ndarray:
     with T.no_grad():
         f = state.backbone.forward(x, state.adapter)
         total = None
-        for t in range(1, state.task + 1):
-            feats = text_features(state.text_enc, state.prompts, ids,
-                                  state.prompts.prompts[t])
+        for feats in semantic_vectors(state.text_enc, state.prompts, ids,
+                                      state.task):
             p = T.softmax_temp(clip_logits(f, feats, cfg.tau_prime), 1.0)
             total = p if total is None else T.add(total, p)
         score = total.data * (1.0 / state.task)
         refined = None
         if cfg.classifier == "se_vpr":
-            refined = refine_prototypes(
-                affinity_matrix(
-                    text_features(state.text_enc, state.prompts, ids,
-                                  state.prompts.prompts[state.task]),
-                    state.affinity.h_proj, cfg.affinity_gamma),
-                state.protos.raw_matrix(ids))
-        vis = classifier_variant(cfg.classifier, f_adapted=f,
-                                 bank=state.protos, class_ids=ids,
-                                 tau=cfg.tau_prime, refined=refined,
-                                 head=state.head)
+            refined = _refined(state, state.prompts.prompts[state.task], ids)
+        vis = _visual(state, f, ids, cfg.tau_prime, refined)
         if vis is not None:
             score = score + vis.data
     return score
@@ -570,9 +538,16 @@ def _read_sections(blob: bytes) -> dict[str, bytes]:
 
 
 def load_checkpoint(path) -> TrainState:
+    """Rebuild a saved state; malformed content raises DataFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    sections = _read_sections(blob)
+    try:
+        return _restore(_read_sections(blob))
+    except (ValueError, LookupError, ConfigError, ProtocolError) as e:
+        raise DataFormatError("corrupt", f"malformed checkpoint: {e}") from e
+
+
+def _restore(sections: dict[str, bytes]) -> TrainState:
     for required in ("meta", "config", "prompts", "adapter", "pool",
                      "projectors", "affinity", "protos", "optim"):
         if required not in sections:
@@ -584,6 +559,8 @@ def load_checkpoint(path) -> TrainState:
     state.task = int(meta["task"])
     state.seen = [tuple(int(k) for k in ids) for ids in meta["seen"]]
     state.replay_counter = int(meta["replay_counter"])
+    if not set(state.seen_ids()) <= set(names):
+        raise ValueError("seen classes outside the class registry")
 
     prompts = _unpack_arrays(sections["prompts"])
     for key, arr in prompts.items():

@@ -1,6 +1,7 @@
 """End-to-end command surface: exit codes, manifests, pairing, reports."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -113,6 +114,30 @@ class TestEval:
         bad.write_bytes((train_dir / "run.ckpt").read_bytes()[:40])
         assert cli.main(["eval", "--ckpt", str(bad),
                          "--out", str(tmp_path / "o")]) == 3
+
+    def test_bit_flips_in_json_sections_exit_0_or_3(self, train_dir, tmp_path,
+                                                    capsys):
+        blob = (train_dir / "run.ckpt").read_bytes()
+        # the meta and config JSON sections come first, after the 13-byte
+        # header; each is a u16 name length, the name, a u64 size, the body
+        end = 13
+        for _ in range(2):
+            nlen = struct.unpack_from("<H", blob, end)[0]
+            size = struct.unpack_from("<Q", blob, end + 2 + nlen)[0]
+            end += 2 + nlen + 8 + size
+        rng = np.random.default_rng(40)
+        bad = tmp_path / "bad.ckpt"
+        codes = []
+        for _ in range(40):
+            flipped = bytearray(blob)
+            for pos in rng.integers(13, end, 3):
+                flipped[pos] ^= 1 << int(rng.integers(0, 8))
+            bad.write_bytes(bytes(flipped))
+            codes.append(cli.main(["eval", "--ckpt", str(bad),
+                                   "--out", str(tmp_path / "o")]))
+        capsys.readouterr()
+        assert set(codes) <= {0, 3}, codes
+        assert codes.count(3) >= 30
 
 
 class TestAblations:

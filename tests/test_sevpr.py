@@ -352,6 +352,29 @@ class TestClassifierVariants:
                                class_ids=[0, 1, 2], tau=0.1, head=head)
         assert np.all(p.data == pytest.approx(1 / 3, abs=0))
 
+    def test_linear_head_selects_requested_columns(self, backbone):
+        bank, f = self.fill_bank(backbone)
+        head = LinearHead(CFG.d_v)
+        head.add_task(1, [0, 1])
+        head.add_task(2, [2])
+        rng = np.random.default_rng(25)
+        for p in head.parameters():
+            p.data[...] = rng.standard_normal(p.data.shape)
+        logits = head.logits(T.Tensor(f)).data[:, [2, 0]]
+        want = np.exp(logits - logits.max(axis=1, keepdims=True))
+        want /= want.sum(axis=1, keepdims=True)
+        p = classifier_variant("linear", f_adapted=T.Tensor(f), bank=bank,
+                               class_ids=[2, 0], tau=0.1, head=head)
+        np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=0)
+
+    def test_linear_head_unknown_class(self, backbone):
+        bank, f = self.fill_bank(backbone)
+        head = LinearHead(CFG.d_v)
+        head.add_task(1, [0, 1])
+        with pytest.raises(ProtocolError, match="no column for class 2"):
+            classifier_variant("linear", f_adapted=T.Tensor(f), bank=bank,
+                               class_ids=[0, 2], tau=0.1, head=head)
+
     def test_unknown_kind(self, backbone):
         bank, f = self.fill_bank(backbone)
         with pytest.raises(ConfigError):

@@ -18,7 +18,6 @@ from seca.sgakt import (
     AdapterPool,
     SemanticProjectors,
     aggregate,
-    distill_variant,
     loss_agg,
     loss_sgakt,
     pooled_views,
@@ -418,6 +417,16 @@ class TestPool:
             AdapterPool(max_size=0)
 
 
+def distill_loss(strategy, *, backbone, x, f_v, pool, projectors, text_feats,
+                 ys_local, sem=None, lam=1.0, tau_prime=20.0):
+    """The strategy's KL distillation term, or None when it has no teacher."""
+    res = teacher_result(strategy, backbone, x, pool, sem, ys_local,
+                         projectors, lam)
+    if res is None:
+        return None
+    return loss_sgakt(res.v_agg, f_v, text_feats, tau_prime)
+
+
 class TestDistillVariants:
     def pieces(self, world, pool):
         backbone, text_enc, bank, _, x = world
@@ -431,21 +440,21 @@ class TestDistillVariants:
 
     def test_seq_is_zero(self, world):
         kw = self.pieces(world, world[3])
-        loss = distill_variant("seq", projectors=SemanticProjectors.zeros(CFG), **kw)
-        assert loss.item() == 0.0
+        assert distill_loss("seq", projectors=SemanticProjectors.zeros(CFG),
+                            **kw) is None
 
     def test_vanilla_at_task_one_is_zero(self, world):
         kw = self.pieces(world, AdapterPool())
-        loss = distill_variant("vanilla", projectors=SemanticProjectors.zeros(CFG), **kw)
-        assert loss.item() == 0.0
+        assert distill_loss("vanilla", projectors=SemanticProjectors.zeros(CFG),
+                            **kw) is None
 
     def test_degenerate_pool_avg_kd_equals_vanilla(self, world):
         pool = AdapterPool(max_size=5)
         pool.admit_and_prune(noisy_stack(31))
         kw = self.pieces(world, pool)
         zeros = SemanticProjectors.zeros(CFG)
-        a = distill_variant("avg_kd", projectors=zeros, **kw)
-        b = distill_variant("vanilla", projectors=zeros, **kw)
+        a = distill_loss("avg_kd", projectors=zeros, **kw)
+        b = distill_loss("vanilla", projectors=zeros, **kw)
         assert a.item() == b.item()
 
     def test_zero_projectors_collapse_to_avg_kd(self, world):
@@ -454,14 +463,15 @@ class TestDistillVariants:
             x = np.random.default_rng(batch_seed).standard_normal((3, CFG.d_v))
             kw = self.pieces((world[0], world[1], world[2], world[3], x), world[3])
             kw["ys_local"] = np.array([1, 0, 1])
-            a = distill_variant("sg_akt", projectors=zeros, **kw)
-            b = distill_variant("avg_kd", projectors=zeros, **kw)
+            a = distill_loss("sg_akt", projectors=zeros, **kw)
+            b = distill_loss("avg_kd", projectors=zeros, **kw)
             assert a.item() == b.item()
 
     def test_clip_kd_uses_adapter_free_teacher(self, world):
         backbone = world[0]
         kw = self.pieces(world, world[3])
-        loss = distill_variant("clip_kd", projectors=SemanticProjectors.zeros(CFG), **kw)
+        loss = distill_loss("clip_kd", projectors=SemanticProjectors.zeros(CFG),
+                            **kw)
         raw_view = backbone.forward(kw["x"], None)
         want = loss_sgakt(raw_view, kw["f_v"], kw["text_feats"], tau_prime=20.0)
         assert loss.item() == want.item()
@@ -476,4 +486,5 @@ class TestDistillVariants:
     def test_unknown_strategy(self, world):
         kw = self.pieces(world, world[3])
         with pytest.raises(ConfigError):
-            distill_variant("distill-all", projectors=SemanticProjectors.zeros(CFG), **kw)
+            distill_loss("distill-all",
+                         projectors=SemanticProjectors.zeros(CFG), **kw)

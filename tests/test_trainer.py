@@ -48,12 +48,18 @@ def run_tasks(cfg, upto=None):
 
 def open_task(state, task):
     """Mid-task state: bookkeeping done, prompt live, no steps taken yet."""
-    from seca.sevpr import raw_prototypes
+    from seca.sevpr import adapted_prototypes, raw_prototypes
+    ids = [int(k) for k in task.class_ids]
     state.task += 1
-    state.seen.append(tuple(int(k) for k in task.class_ids))
+    state.seen.append(tuple(ids))
     state.prompts.new_prompt(state.task, state.cfg.seed)
     raw_prototypes(state.protos, state.backbone, task.train_x, task.train_y,
-                   list(task.class_ids))
+                   ids)
+    if state.cfg.classifier == "centroid_adapted":
+        adapted_prototypes(state.protos, state.backbone, state.adapter,
+                           task.train_x, task.train_y, ids)
+    if state.head is not None:
+        state.head.add_task(state.task, ids)
 
 
 def state_digest(state) -> str:
@@ -105,18 +111,29 @@ def mirror_loss(state, x, ys_global, with_kl=True):
     loss = T.cross_entropy_rows(
         T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0), ys_local)
 
-    seen = state.seen_ids()
-    z = text_features(state.text_enc, state.prompts, seen, prompt)
-    m = affinity_matrix(z, state.affinity.h_proj, cfg.affinity_gamma)
-    refined_all = refine_prototypes(m, state.protos.raw_matrix(seen))
-    sup_idx = np.array([seen.index(int(k)) for k in support], dtype=np.int64)
-    loss = T.add(loss, loss_ce_v(f_v, T.take_rows(refined_all, sup_idx),
-                                 ys_local, cfg.tau))
-    if s > 1:
-        old = [k for ids in state.seen[:-1] for k in ids]
-        old_idx = np.array([seen.index(int(k)) for k in old], dtype=np.int64)
-        loss = T.add(loss, loss_reg(T.take_rows(refined_all, old_idx),
-                                    state.protos.snapshot_matrix(old)))
+    vis = None
+    if cfg.classifier == "se_vpr":
+        seen = state.seen_ids()
+        z = text_features(state.text_enc, state.prompts, seen, prompt)
+        m = affinity_matrix(z, state.affinity.h_proj, cfg.affinity_gamma)
+        refined_all = vis = refine_prototypes(m, state.protos.raw_matrix(seen))
+        sup_idx = np.array([seen.index(int(k)) for k in support],
+                           dtype=np.int64)
+        loss = T.add(loss, loss_ce_v(f_v, T.take_rows(refined_all, sup_idx),
+                                     ys_local, cfg.tau))
+        if s > 1:
+            old = [k for ids in state.seen[:-1] for k in ids]
+            old_idx = np.array([seen.index(int(k)) for k in old],
+                               dtype=np.int64)
+            loss = T.add(loss, loss_reg(T.take_rows(refined_all, old_idx),
+                                        state.protos.snapshot_matrix(old)))
+    elif cfg.classifier in ("centroid_clip", "centroid_adapted"):
+        vis = state.protos.raw_matrix(support) \
+            if cfg.classifier == "centroid_clip" \
+            else state.protos.adapted_matrix(support)
+        loss = T.add(loss, loss_ce_v(f_v, vis, ys_local, cfg.tau))
+    elif cfg.classifier == "linear":
+        loss = T.add(loss, head_ce(state.head, f_v, support, ys_local))
 
     if s > 1 and cfg.distill != "seq":
         sem = None
@@ -135,10 +152,23 @@ def mirror_loss(state, x, ys_global, with_kl=True):
         past = [k for ids in state.seen[:-1] for k in ids]
         seed_b = _replay_seed(cfg.seed, state.replay_counter)
         pseudo = draw_pseudo_batch(state.store, past, cfg.batch_size, seed_b)
-        lt, lv = replay_losses(pseudo, text_sup, refined_all, support, cfg.tau)
+        lt, lv = replay_losses(pseudo, text_sup, vis, support, cfg.tau)
         loss = T.add(loss, lt)
-        loss = T.add(loss, lv)
+        if vis is not None:
+            loss = T.add(loss, lv)
+        elif cfg.classifier == "linear":
+            p_local = np.array([pos[int(k)] for k in pseudo.y], dtype=np.int64)
+            loss = T.add(loss, head_ce(state.head, T.Tensor(pseudo.x), support,
+                                       p_local))
     return loss
+
+
+def head_ce(head, f, support, ys_local):
+    """Cross entropy of the linear head's logits over the support columns."""
+    cols = np.array([head.class_ids.index(int(k)) for k in support],
+                    dtype=np.int64)
+    logits = T.transpose(T.take_rows(T.transpose(head.logits(f)), cols))
+    return T.cross_entropy_rows(T.softmax_temp(logits, 1.0), ys_local)
 
 
 class TestAdam:
@@ -284,6 +314,33 @@ class TestBatchLoss:
         loss, _ = batch_loss(state, x, y)
         assert state.replay_counter == c0 + 1
         assert np.array_equal(loss.data, mirrored.data)
+
+    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("classifier", ["only_text", "centroid_clip",
+                                            "centroid_adapted", "linear",
+                                            "se_vpr"])
+    def test_variant_composition(self, classifier, replay):
+        from seca.trainer import batch_loss, _trainables
+        state, stream = run_tasks(
+            make_cfg(classifier=classifier, replay=replay), upto=2)
+        open_task(state, stream.tasks[2])
+        x = stream.tasks[2].train_x[:8]
+        y = stream.tasks[2].train_y[:8]
+        params = _trainables(state)
+
+        for p in params:
+            p.zero_grad()
+        mirrored = mirror_loss(state, x, y)  # consumes the replay counter
+        mirrored.backward()
+        want = {p.name: p.grad.copy() for p in params}
+
+        for p in params:
+            p.zero_grad()
+        loss, _ = batch_loss(state, x, y)
+        loss.backward()
+        assert np.array_equal(loss.data, mirrored.data)
+        for p in params:
+            assert np.array_equal(want[p.name], p.grad), p.name
 
     def test_repeated_labels_rejected(self):
         state, stream = run_tasks(make_cfg(epochs_per_task=0), upto=1)
