@@ -55,10 +55,8 @@ class VisualBackbone:
             raise ValueError(
                 f"expected feature dim {self.cfg.d_v}, got {h.data.shape[-1]}"
             )
-        for layer, (w1, b1, w2, b2) in enumerate(self.blocks):
-            f = T.ffn(h, w1, b1, w2, b2)
-            h = T.add(T.add(h, f), adapters.apply(layer, h)) if adapters else T.add(h, f)
-        return T.l2_normalize(h)
+        layers = None if adapters is None else adapters.layer_weights()
+        return T.residual_tower(h, self.blocks, layers)
 
     def weight_arrays(self) -> list[np.ndarray]:
         return [t.data for blk in self.blocks for t in blk]
@@ -100,9 +98,9 @@ class AdapterStack:
                 }
             )
 
-    def apply(self, layer: int, h: T.Tensor) -> T.Tensor:
-        p = self.layers[layer]
-        return T.ffn(h, p["down_w"], p["down_b"], p["up_w"], p["up_b"])
+    def layer_weights(self) -> list[tuple[T.Parameter, ...]]:
+        """One (down_w, down_b, up_w, up_b) tuple per layer."""
+        return [tuple(p[f] for f in self.FIELDS) for p in self.layers]
 
     def parameters(self) -> list[T.Parameter]:
         return [p[f] for p in self.layers for f in self.FIELDS]
@@ -134,10 +132,6 @@ class TextEncoder:
         self.cfg = cfg
         self.w1, self.b1 = _affine(rng, cfg.d_t, 4 * cfg.d_t, dtype)
         self.w2, self.b2 = _affine(rng, 4 * cfg.d_t, cfg.d_t, dtype)
-
-    def forward_pooled(self, pooled: T.Tensor) -> T.Tensor:
-        f = T.ffn(pooled, self.w1, self.b1, self.w2, self.b2)
-        return T.l2_normalize(T.add(pooled, f))
 
     def weight_arrays(self) -> list[np.ndarray]:
         return [self.w1.data, self.b1.data, self.w2.data, self.b2.data]
@@ -184,12 +178,13 @@ class PromptBank:
     def freeze_task(self, task: int) -> None:
         self.prompts[task].freeze()
 
-    def token_rows(self, class_ids) -> T.Tensor:
+    def token_rows(self, class_ids) -> np.ndarray:
+        """The frozen class-token rows of class_ids, in order."""
         try:
             idx = [self.index[int(c)] for c in class_ids]
         except KeyError as e:
             raise ValueError(f"unknown class id {e.args[0]}") from None
-        return T.take_rows(self.token_table, np.asarray(idx, dtype=np.int64))
+        return self.token_table.data[np.asarray(idx, dtype=np.int64)]
 
 
 def text_features(
@@ -199,19 +194,10 @@ def text_features(
 
     Pooling of [prompt tokens ; class token] is a plain mean, so the batch
     form is (sum of prompt rows + class token) / (M + 1) broadcast over the
-    class rows.
+    class rows; the frozen text mixer then adds its residual and normalizes.
     """
-    rows = bank.token_rows(class_ids)
-    m = prompt.data.shape[0]
-    pooled = T.mul(T.add(rows, T.tsum(prompt, axis=0)), 1.0 / (m + 1))
-    return text_enc.forward_pooled(pooled)
-
-
-def text_forward(
-    text_enc: TextEncoder, bank: PromptBank, class_id: int, prompt: T.Tensor
-) -> T.Tensor:
-    feats = text_features(text_enc, bank, [class_id], prompt)
-    return T.reshape(feats, (text_enc.cfg.d_t,))
+    return T.text_embed(bank.token_rows(class_ids), prompt, text_enc.w1,
+                        text_enc.b1, text_enc.w2, text_enc.b2)
 
 
 def clip_logits(f, text_feats, tau: float) -> T.Tensor:
@@ -221,6 +207,4 @@ def clip_logits(f, text_feats, tau: float) -> T.Tensor:
     feats = text_feats if isinstance(text_feats, T.Tensor) else T.Tensor(text_feats)
     if feats.data.shape[0] == 0:
         raise ValueError("empty class set")
-    fn = T.l2_normalize(f if isinstance(f, T.Tensor) else T.Tensor(f))
-    tn = T.l2_normalize(feats)
-    return T.mul(T.matmul(fn, T.transpose(tn)), 1.0 / tau)
+    return T.cosine_logits(f, feats, tau)

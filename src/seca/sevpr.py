@@ -134,14 +134,7 @@ def affinity_matrix(z: T.Tensor, h_proj, gamma: float) -> T.Tensor:
     z = z if isinstance(z, T.Tensor) else T.Tensor(z)
     if z.data.ndim != 2 or z.data.shape[0] < 1:
         raise ValueError("need at least one class embedding row")
-    k = z.data.shape[0]
-    a = T.matmul(z, h_proj)
-    g0 = T.matmul(a, T.transpose(a))
-    g = T.mul(T.add(g0, T.transpose(g0)), 0.5)
-    s = T.diag(g)
-    d2 = T.add(T.add(T.reshape(s, (k, 1)), T.reshape(s, (1, k))), T.mul(g, -2.0))
-    d2 = T.maximum0(d2)
-    return T.exp(T.mul(d2, -float(gamma)))
+    return T.rbf_affinity(z, h_proj, gamma)
 
 
 def mixing_weights(m: T.Tensor) -> T.Tensor:
@@ -154,7 +147,7 @@ def refine_prototypes(m: T.Tensor, raw) -> T.Tensor:
     raw = raw if isinstance(raw, T.Tensor) else T.Tensor(raw)
     if m.data.shape[0] != m.data.shape[1] or m.data.shape[1] != raw.data.shape[0]:
         raise ValueError("affinity must be square with one row per prototype")
-    return T.matmul(mixing_weights(m), raw)
+    return T.mix_rows(m, raw)
 
 
 def visual_prob(f_adapted: T.Tensor, refined, tau: float) -> T.Tensor:

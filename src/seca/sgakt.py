@@ -155,22 +155,9 @@ def relevance_scores(
     projectors: SemanticProjectors,
 ) -> T.Tensor:
     """Per-instance, per-entry scores (1/s) sum_i (S_y W_S) . (V_p W_V)."""
-    if not sem or not views:
-        raise ValueError("need at least one semantic block and one view")
     if projectors.w_s.data.shape[1] != projectors.w_v.data.shape[1]:
         raise ValueError("projected dimensions disagree")
-    ys_local = np.asarray(ys_local, dtype=np.int64)
-    s = len(sem)
-    proj = None
-    for block in sem:
-        rows = T.take_rows(T.matmul(block, projectors.w_s), ys_local)
-        proj = rows if proj is None else T.add(proj, rows)
-    proj = T.mul(proj, 1.0 / s)
-    cols = []
-    for view in views:
-        vproj = T.matmul(view, projectors.w_v)
-        cols.append(T.tsum(T.mul(proj, vproj), axis=1))
-    return T.stack_cols(cols)
+    return T.relevance(sem, views, ys_local, projectors.w_s, projectors.w_v)
 
 
 def aggregate(views: list[T.Tensor], alpha: T.Tensor, lam: float) -> RelevanceResult:
@@ -180,10 +167,7 @@ def aggregate(views: list[T.Tensor], alpha: T.Tensor, lam: float) -> RelevanceRe
     if alpha.data.ndim != 2 or alpha.data.shape[1] != len(views):
         raise ValueError("one score column per view required")
     weights = T.softmax_temp(T.mul(alpha, float(lam)), 1.0)
-    v_agg = None
-    for p, view in enumerate(views):
-        term = T.mul(view, T.col(weights, p))
-        v_agg = term if v_agg is None else T.add(v_agg, term)
+    v_agg = T.blend(views, weights)
     return RelevanceResult(alpha=alpha, weights=weights, v_agg=v_agg, views=views)
 
 

@@ -14,7 +14,6 @@ from seca.encoder import (
     VisualBackbone,
     clip_logits,
     text_features,
-    text_forward,
 )
 
 CFG = EncoderConfig(d_v=16, d_t=16, layers=3, adapter_width=4, prompt_tokens=2, seed=5)
@@ -90,8 +89,8 @@ class TestTextForward:
         bank = self._bank()
         enc = TextEncoder(CFG)
         p = bank.new_prompt(1, seed=0)
-        a = text_forward(enc, bank, 2, p).data
-        b = text_forward(enc, bank, 2, p).data
+        a = text_features(enc, bank, [2], p).data
+        b = text_features(enc, bank, [2], p).data
         assert np.array_equal(a, b)
 
     def test_distinct_classes_distinct_outputs(self):
@@ -108,7 +107,7 @@ class TestTextForward:
         enc = TextEncoder(CFG)
         p = bank.new_prompt(1, seed=0)
         for c in bank.class_ids:
-            out = text_forward(enc, bank, c, p).data
+            out = text_features(enc, bank, [c], p).data[0]
             assert abs(np.linalg.norm(out) - 1.0) < 1e-6
 
     def test_unknown_class(self):
@@ -116,7 +115,7 @@ class TestTextForward:
         enc = TextEncoder(CFG)
         p = bank.new_prompt(1, seed=0)
         with pytest.raises(ValueError):
-            text_forward(enc, bank, 99, p)
+            text_features(enc, bank, [99], p)
 
     def test_gradient_reaches_active_prompt_only_when_unfrozen(self):
         bank = self._bank()

@@ -11,7 +11,6 @@ from seca.encoder import (
     TextEncoder,
     VisualBackbone,
     text_features,
-    text_forward,
 )
 from seca.errors import ConfigError, ProtocolError
 from seca.sgakt import (
@@ -28,6 +27,12 @@ from seca.sgakt import (
 
 CFG = EncoderConfig(d_v=12, d_t=12, layers=2, adapter_width=4,
                     prompt_tokens=2, seed=3)
+
+
+def text_forward(text_enc, bank, class_id, prompt) -> T.Tensor:
+    """One class's text feature under one prompt, as a 1-D vector."""
+    feats = text_features(text_enc, bank, [class_id], prompt)
+    return T.reshape(feats, (text_enc.cfg.d_t,))
 
 
 def noisy_stack(seed: int) -> AdapterStack:

@@ -365,6 +365,340 @@ class TestFfn:
             T.ffn(h, w, b, w, b)
 
 
+# Fused composite ops. Each reference below is the chain of kernel ops the
+# fused op replaced, written out as its callers used to write it.
+
+
+def _p(rng, shape, name, scale=1.0, dtype=np.float64):
+    return T.Parameter((scale * rng.standard_normal(shape)).astype(dtype), name=name)
+
+
+def _text_chain(table, idx, prompt, w1, b1, w2, b2):
+    rows = T.take_rows(table, idx)
+    m = prompt.data.shape[0]
+    pooled = T.mul(T.add(rows, T.tsum(prompt, axis=0)), 1.0 / (m + 1))
+    return T.l2_normalize(T.add(pooled, T.ffn(pooled, w1, b1, w2, b2)))
+
+
+def _cosine_chain(a, b, tau):
+    return T.mul(T.matmul(T.l2_normalize(a), T.transpose(T.l2_normalize(b))), 1.0 / tau)
+
+
+def _affinity_chain(z, h, gamma):
+    k = z.data.shape[0]
+    a = T.matmul(z, h)
+    g0 = T.matmul(a, T.transpose(a))
+    g = T.mul(T.add(g0, T.transpose(g0)), 0.5)
+    s = T.diag(g)
+    d2 = T.add(T.add(T.reshape(s, (k, 1)), T.reshape(s, (1, k))), T.mul(g, -2.0))
+    return T.exp(T.mul(T.maximum0(d2), -float(gamma)))
+
+
+def _mix_chain(m, x):
+    return T.matmul(T.div(m, T.tsum(m, axis=1, keepdims=True)), x)
+
+
+def _relevance_chain(sem, views, rows, w_s, w_v):
+    q = None
+    for block in sem:
+        r = T.take_rows(T.matmul(block, w_s), rows)
+        q = r if q is None else T.add(q, r)
+    q = T.mul(q, 1.0 / len(sem))
+    return T.stack_cols([T.tsum(T.mul(q, T.matmul(v, w_v)), axis=1) for v in views])
+
+
+def _blend_chain(views, weights):
+    out = None
+    for p, v in enumerate(views):
+        term = T.mul(v, T.col(weights, p))
+        out = term if out is None else T.add(out, term)
+    return out
+
+
+def _tower_chain(x, blocks, adapters):
+    h = x
+    for i, blk in enumerate(blocks):
+        f = T.ffn(h, *blk)
+        h = T.add(T.add(h, f), T.ffn(h, *adapters[i])) if adapters else T.add(h, f)
+    return T.l2_normalize(h)
+
+
+def _tower_inputs(rng, dtype=np.float64, with_adapters=True, x_shape=(3, 4)):
+    d, w = x_shape[-1], 5
+    x = _p(rng, x_shape, "x", dtype=dtype)
+    blocks = [tuple(T.Tensor((0.5 * rng.standard_normal(sh)).astype(dtype))
+                    for sh in ((d, 2 * d), (2 * d,), (2 * d, d), (d,)))
+              for _ in range(2)]
+    adapters = None
+    if with_adapters:
+        adapters = [tuple(_p(rng, sh, f"a{i}.{j}", 0.5, dtype)
+                          for j, sh in enumerate(((d, w), (w,), (w, d), (d,))))
+                    for i in range(2)]
+    params = [x] + ([t for a in adapters for t in a] if adapters else [])
+    return x, blocks, adapters, params
+
+
+# name -> builder(rng, dtype) returning (fused thunk, chain thunk, parameters)
+def _case_text(rng, dtype):
+    table = T.Tensor(rng.standard_normal((5, 4)).astype(dtype))
+    idx = np.array([3, 0, 4, 3])
+    prompt = _p(rng, (2, 4), "prompt", 0.3, dtype)
+    w = [T.Tensor((0.5 * rng.standard_normal(sh)).astype(dtype))
+         for sh in ((4, 6), (6,), (6, 4), (4,))]
+    return (lambda: T.text_embed(table.data[idx], prompt, *w),
+            lambda: _text_chain(table, idx, prompt, *w), [prompt])
+
+
+def _case_cosine(rng, dtype):
+    a, b = _p(rng, (3, 4), "a", dtype=dtype), _p(rng, (5, 4), "b", dtype=dtype)
+    return (lambda: T.cosine_logits(a, b, 0.7), lambda: _cosine_chain(a, b, 0.7),
+            [a, b])
+
+
+def _case_cosine_vector(rng, dtype):
+    a, b = _p(rng, (4,), "a", dtype=dtype), _p(rng, (5, 4), "b", dtype=dtype)
+    return (lambda: T.cosine_logits(a, b, 2.0), lambda: _cosine_chain(a, b, 2.0),
+            [a, b])
+
+
+def _case_affinity(rng, dtype):
+    z, h = _p(rng, (5, 4), "z", dtype=dtype), _p(rng, (4, 4), "h", 0.5, dtype)
+    return (lambda: T.rbf_affinity(z, h, 1.3), lambda: _affinity_chain(z, h, 1.3),
+            [z, h])
+
+
+def _case_mix(rng, dtype):
+    m = T.Parameter(rng.uniform(0.1, 1.0, (4, 4)).astype(dtype), name="m")
+    x = _p(rng, (4, 3), "x", dtype=dtype)
+    return lambda: T.mix_rows(m, x), lambda: _mix_chain(m, x), [m, x]
+
+
+def _case_relevance(rng, dtype):
+    sem = [_p(rng, (3, 4), f"sem{k}", dtype=dtype) for k in range(3)]
+    views = [_p(rng, (5, 4), f"view{p}", dtype=dtype) for p in range(3)]
+    w_s, w_v = _p(rng, (4, 6), "w_s", dtype=dtype), _p(rng, (4, 6), "w_v", dtype=dtype)
+    rows = np.array([0, 2, 1, 2, 0])
+    return (lambda: T.relevance(sem, views, rows, w_s, w_v),
+            lambda: _relevance_chain(sem, views, rows, w_s, w_v),
+            sem + views + [w_s, w_v])
+
+
+def _case_blend(rng, dtype):
+    views = [_p(rng, (4, 3), f"view{p}", dtype=dtype) for p in range(3)]
+    weights = T.Parameter(rng.uniform(0.0, 1.0, (4, 3)).astype(dtype), name="weights")
+    return (lambda: T.blend(views, weights), lambda: _blend_chain(views, weights),
+            views + [weights])
+
+
+def _case_tower(rng, dtype):
+    x, blocks, adapters, params = _tower_inputs(rng, dtype)
+    return (lambda: T.residual_tower(x, blocks, adapters),
+            lambda: _tower_chain(x, blocks, adapters), params)
+
+
+def _case_tower_plain(rng, dtype):
+    x, blocks, _, params = _tower_inputs(rng, dtype, with_adapters=False)
+    return (lambda: T.residual_tower(x, blocks),
+            lambda: _tower_chain(x, blocks, None), params)
+
+
+def _case_tower_vector(rng, dtype):
+    x, blocks, adapters, params = _tower_inputs(rng, dtype, x_shape=(4,))
+    return (lambda: T.residual_tower(x, blocks, adapters),
+            lambda: _tower_chain(x, blocks, adapters), params)
+
+
+FUSED_CASES = {
+    "text_embed": _case_text,
+    "cosine_logits": _case_cosine,
+    "cosine_logits_vector": _case_cosine_vector,
+    "rbf_affinity": _case_affinity,
+    "mix_rows": _case_mix,
+    "relevance": _case_relevance,
+    "blend": _case_blend,
+    "residual_tower": _case_tower,
+    "residual_tower_plain": _case_tower_plain,
+    "residual_tower_vector": _case_tower_vector,
+}
+
+
+def _weighted(out, w):
+    return T.tsum(T.mul(out, w))
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_bitwise_equals_chain(self, name, dtype):
+        rng = np.random.default_rng(21)
+        for _ in range(10):
+            fused, chain, _ = FUSED_CASES[name](rng, dtype)
+            a, b = fused(), chain()
+            assert a.data.dtype == b.data.dtype == dtype
+            assert a.data.shape == b.data.shape
+            assert a.data.tobytes() == b.data.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_bitwise_equals_chain(self, name, dtype):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            fused, chain, params = FUSED_CASES[name](rng, dtype)
+            w = rng.standard_normal(fused().data.shape).astype(dtype)
+            grads = []
+            for op in (fused, chain):
+                for p in params:
+                    p.zero_grad()
+                _weighted(op(), w).backward()
+                grads.append([p.grad.copy() for p in params])
+            for p, got, want in zip(params, *grads):
+                assert got.tobytes() == want.tobytes(), p.name
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_grad_check(self, name):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            fused, _, params = FUSED_CASES[name](rng, np.float64)
+            w = rng.standard_normal(fused().data.shape)
+            rep = T.grad_check(lambda: _weighted(fused(), w), params, tol=1e-6)
+            assert set(rep.per_param) == {p.name for p in params}
+            assert rep.passed, rep.per_param
+
+    @pytest.mark.parametrize("name", sorted(FUSED_CASES))
+    def test_no_grad_output_has_no_parents(self, name):
+        fused, _, _ = FUSED_CASES[name](np.random.default_rng(24), np.float64)
+        graph = fused()
+        with T.no_grad():
+            plain = fused()
+        assert graph.requires_grad and graph._parents
+        assert not plain.requires_grad
+        assert plain._parents == () and plain._backward is None
+        assert plain.data.tobytes() == graph.data.tobytes()
+
+    def test_frozen_inputs_get_no_gradient(self):
+        rng = np.random.default_rng(25)
+        x, blocks, adapters, _ = _tower_inputs(rng)
+        frozen = [tuple(T.Tensor(t.data) for t in a) for a in adapters]
+        out = T.residual_tower(T.Tensor(x.data), blocks, frozen)
+        assert not out.requires_grad and out._backward is None
+        out = T.residual_tower(x, blocks, frozen)
+        assert out._parents[0] is x
+        grads = out._backward(np.ones_like(out.data))
+        assert grads[0] is not None and all(g is None for g in grads[1:])
+
+    def test_trainable_weights_refused_where_frozen(self):
+        rng = np.random.default_rng(26)
+        x, blocks, _, _ = _tower_inputs(rng, with_adapters=False)
+        blocks[0] = (_p(rng, (4, 8), "w1"),) + blocks[0][1:]
+        with pytest.raises(ValueError):
+            T.residual_tower(x, blocks)
+        prompt = _p(rng, (2, 4), "prompt")
+        w1 = _p(rng, (4, 6), "w1")
+        w = [T.Tensor(rng.standard_normal(sh)) for sh in ((6,), (6, 4), (4,))]
+        with pytest.raises(ValueError):
+            T.text_embed(np.ones((2, 4)), prompt, w1, *w)
+
+    def test_zero_norm_raises_value_error(self):
+        blocks = [tuple(T.Tensor(np.zeros(sh)) for sh in ((2, 2), (2,), (2, 2), (2,)))]
+        for ctx in (T.no_grad, contextlib.nullcontext):
+            with ctx():
+                with pytest.raises(ValueError):
+                    T.residual_tower(T.Tensor(np.zeros((1, 2))), blocks)
+                with pytest.raises(ValueError):
+                    T.cosine_logits(np.zeros((1, 2)), np.ones((2, 2)), 1.0)
+
+
+def _big(shape, value=1e308):
+    return np.full(shape, value)
+
+
+# name -> builder(parameter or plain tensor factory) returning (fused, chain)
+# thunks that both meet a non-finite intermediate
+NONFINITE_CASES = {
+    # the prompt rows sum to inf
+    "text_embed_prompt_sum": lambda mk: (
+        lambda: T.text_embed(np.ones((2, 2)), mk(_big((2, 2))), *_small_ffn()),
+        lambda: _text_chain(T.Tensor(np.ones((2, 2))), [0, 1], mk(_big((2, 2))),
+                            *_small_ffn())),
+    # as above with no token rows: only the prompt sum sees it
+    "text_embed_empty_tokens": lambda mk: (
+        lambda: T.text_embed(np.ones((0, 2)), mk(_big((2, 2))), *_small_ffn()),
+        lambda: _text_chain(T.Tensor(np.ones((1, 2))), np.zeros(0, dtype=int),
+                            mk(_big((2, 2))), *_small_ffn())),
+    # the ffn output overflows: only the residual sum sees it
+    "text_embed_residual": lambda mk: (
+        lambda: T.text_embed(np.ones((1, 2)), mk(np.ones((2, 2))), *_small_ffn(1.0, 1e308)),
+        lambda: _text_chain(T.Tensor(np.ones((1, 2))), [0], mk(np.ones((2, 2))),
+                            *_small_ffn(1.0, 1e308))),
+    # tanh would turn an overflowed pre-activation into a finite value
+    "text_embed_preactivation": lambda mk: (
+        lambda: T.text_embed(np.ones((1, 2)), mk(_big((2, 2), 1e300)), *_small_ffn(1e10)),
+        lambda: _text_chain(T.Tensor(np.ones((1, 2))), [0], mk(_big((2, 2), 1e300)),
+                            *_small_ffn(1e10))),
+    # 1 / tau overflows
+    "cosine_logits_scale": lambda mk: (
+        lambda: T.cosine_logits(mk(np.ones((2, 2))), np.eye(2), 1e-320),
+        lambda: _cosine_chain(mk(np.ones((2, 2))), T.Tensor(np.eye(2)), 1e-320)),
+    # the exponent overflows to -inf, which exp would turn into 0
+    "rbf_affinity_exponent": lambda mk: (
+        lambda: T.rbf_affinity(mk(np.eye(2)), np.eye(2), 1e308),
+        lambda: _affinity_chain(mk(np.eye(2)), T.Tensor(np.eye(2)), 1e308)),
+    # the Gram matrix overflows; the clamp at zero would hide the -inf
+    "rbf_affinity_gram": lambda mk: (
+        lambda: T.rbf_affinity(mk(np.array([[1e200, 0.0], [0.0, 1.0]])), np.eye(2), 1.0),
+        lambda: _affinity_chain(mk(np.array([[1e200, 0.0], [0.0, 1.0]])),
+                                T.Tensor(np.eye(2)), 1.0)),
+    # an infinite row sum would give finite zero weights
+    "mix_rows_row_sum": lambda mk: (
+        lambda: T.mix_rows(mk(np.array([[1e308, 1e308], [1.0, 1.0]])), np.eye(2)),
+        lambda: _mix_chain(mk(np.array([[1e308, 1e308], [1.0, 1.0]])), T.Tensor(np.eye(2)))),
+    # the overflowing projected row is not among the rows taken
+    "relevance_unselected_row": lambda mk: (
+        lambda: T.relevance([mk(np.array([[1.0, 1.0], [1e308, 1e308]]))], [np.ones((1, 2))],
+                            [0], np.full((2, 2), 10.0), np.eye(2)),
+        lambda: _relevance_chain([mk(np.array([[1.0, 1.0], [1e308, 1e308]]))],
+                                 [T.Tensor(np.ones((1, 2)))], [0],
+                                 T.Tensor(np.full((2, 2), 10.0)), T.Tensor(np.eye(2)))),
+    "blend_sum": lambda mk: (
+        lambda: T.blend([mk(_big((1, 2))), mk(_big((1, 2)))], np.ones((1, 2))),
+        lambda: _blend_chain([mk(_big((1, 2))), mk(_big((1, 2)))], T.Tensor(np.ones((1, 2))))),
+    "residual_tower_preactivation": lambda mk: (
+        lambda: T.residual_tower(mk(_big((1, 2), 1e300)), [_small_ffn(1e10)]),
+        lambda: _tower_chain(mk(_big((1, 2), 1e300)), [_small_ffn(1e10)], None)),
+    # an adapter output overflows: only the layer's sum sees it
+    "residual_tower_adapter": lambda mk: (
+        lambda: T.residual_tower(np.ones((1, 2)), [_small_ffn()], [_adapter(mk)]),
+        lambda: _tower_chain(T.Tensor(np.ones((1, 2))), [_small_ffn()], [_adapter(mk)])),
+}
+
+
+def _small_ffn(scale=1.0, out_scale=None):
+    w2 = np.eye(2) if out_scale is None else np.full((2, 2), out_scale)
+    return (T.Tensor(np.full((2, 2), scale)), T.Tensor(np.zeros(2)),
+            T.Tensor(w2), T.Tensor(np.zeros(2)))
+
+
+def _adapter(mk):
+    # tanh(10) * 1e308 summed over two rows overflows
+    return (mk(10.0 * np.eye(2)), mk(np.zeros(2)), mk(_big((2, 2))), mk(np.zeros(2)))
+
+
+class TestFusedNonFinite:
+    @pytest.mark.parametrize("name", sorted(NONFINITE_CASES))
+    @pytest.mark.parametrize("ctx", [T.no_grad, contextlib.nullcontext])
+    @pytest.mark.parametrize("trainable", [False, True])
+    def test_raises_where_chain_raises(self, name, ctx, trainable):
+        def mk(a):
+            return T.Parameter(a, name="p") if trainable else T.Tensor(a)
+
+        fused, chain = NONFINITE_CASES[name](mk)
+        with ctx():
+            with pytest.raises(NumericsError):
+                chain()
+            with pytest.raises(NumericsError):
+                fused()
+
+
 class TestPlumbing:
     def test_nan_raises(self):
         with pytest.raises(NumericsError):
@@ -415,6 +749,31 @@ class TestPlumbing:
             assert not p.requires_grad
             assert p._parents == () and p._backward is None
             assert p.data.tobytes() == g.data.tobytes()
+
+    def test_finite_array_with_overflowing_sum_accepted(self):
+        with np.errstate(over="ignore"):
+            assert T.Tensor([1e308, 1e308]).data[0] == 1e308
+            big32 = np.full(2, 3e38, dtype=np.float32)
+            assert T.Tensor(big32).data.dtype == np.float32
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_raises(self, bad):
+        with np.errstate(invalid="ignore"):
+            for vals in ([bad], [1.0, bad, 2.0], [np.inf, -np.inf, bad]):
+                with pytest.raises(NumericsError):
+                    T.Tensor(vals)
+
+    def test_float32_overflow_raises(self):
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            T.Tensor(np.array([1e39, 1.0]), dtype=np.float32)
+
+    def test_first_gradient_is_a_fresh_positive_zero_buffer(self):
+        a = T.Tensor(np.ones(3), requires_grad=True)
+        b = T.Tensor(np.ones(3), requires_grad=True)
+        # add hands one gradient array to both parents
+        T.tsum(T.mul(T.add(a, b), np.array([-0.0, 1.0, -0.0]))).backward()
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        assert a.grad.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
 
     def test_float32_preserved_through_ops(self):
         p = T.Parameter(np.ones(4, dtype=np.float32), name="p")
