@@ -27,8 +27,9 @@ class DataFormatError(SecaError):
 
     ``code`` is a short machine-readable tag: "bad-magic", "bad-version",
     "truncated", "id-range", "bad-manifest", or "corrupt" (a checkpoint
-    whose sections frame correctly but whose content does not decode,
-    parse, or rebuild a valid state).
+    whose frames do not decode, whose digest disagrees with a frame's
+    content, or whose arrays do not parse, match the shape and dtype the
+    stored config builds, or rebuild a valid state).
     """
 
     exit_code = 3

@@ -8,20 +8,16 @@ losses, which widens the training softmax to every class seen so far.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import seeding, tensor as T
-from .datastream import write_feature_bank
 from .encoder import clip_logits
-from .errors import ConfigError, DataFormatError, ProtocolError
+from .errors import ConfigError, ProtocolError
 from .tensor import cross_entropy_rows, softmax_temp
 
 VAR_FLOOR = 1e-6
-
-_STORE_MAGIC = b"SECARS1\x00"
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -177,58 +173,3 @@ def replay_losses(batch: PseudoBatch, text_feats, refined, support,
         return lt, T.scalar(0.0, dtype=batch.x.dtype)
     lv = cross_entropy_rows(softmax_temp(clip_logits(f, refined, tau), 1.0), local)
     return lt, lv
-
-
-def serialize_store(store: ReplayStore) -> bytes:
-    """Pack the store into a little-endian byte string for checkpoints."""
-    out = [_STORE_MAGIC, struct.pack("<II", store.dim, len(store.classes))]
-    for k in store.class_ids:
-        g = store.classes[k]
-        out.append(struct.pack("<IIB", k, g.count, 0 if g.diagonal else 1))
-        out.append(np.ascontiguousarray(g.mu, dtype="<f8").tobytes())
-        out.append(np.ascontiguousarray(g.cov, dtype="<f8").tobytes())
-    return b"".join(out)
-
-
-def deserialize_store(blob: bytes) -> ReplayStore:
-    if len(blob) < 16 or blob[:8] != _STORE_MAGIC:
-        raise DataFormatError("bad-magic", "not a replay-store blob")
-    dim, total = struct.unpack_from("<II", blob, 8)
-    if dim < 1:
-        raise DataFormatError("truncated", "replay store header is corrupt")
-    store = ReplayStore(dim)
-    off = 16
-    for _ in range(total):
-        if off + 9 > len(blob):
-            raise DataFormatError("truncated", "replay store ends mid-record")
-        k, count, kind = struct.unpack_from("<IIB", blob, off)
-        off += 9
-        cov_n = dim if kind == 0 else dim * dim
-        need = 8 * (dim + cov_n)
-        if off + need > len(blob):
-            raise DataFormatError("truncated", "replay store ends mid-record")
-        mu = np.frombuffer(blob, dtype="<f8", count=dim, offset=off).copy()
-        off += 8 * dim
-        cov = np.frombuffer(blob, dtype="<f8", count=cov_n, offset=off).copy()
-        off += 8 * cov_n
-        if kind == 1:
-            cov = cov.reshape(dim, dim)
-        if k in store.classes:
-            raise DataFormatError("id-range", f"class {k} appears twice")
-        store.classes[k] = ClassGaussian(_lock(mu), _lock(cov), count)
-    if off != len(blob):
-        raise DataFormatError("truncated", "trailing bytes after replay store")
-    return store
-
-
-def export_feature_bank(store: ReplayStore, path, names: dict[int, str],
-                        per_class: int, seed: int) -> None:
-    """Materialize draws from every stored class as a feature-bank file."""
-    if per_class < 1:
-        raise ConfigError("per_class must be positive")
-    xs, ys = [], []
-    for k in store.class_ids:
-        xs.append(sample(store, k, per_class, seed))
-        ys.append(np.full(per_class, k, dtype=np.int64))
-    write_feature_bank(path, np.concatenate(xs, axis=0),
-                       np.concatenate(ys), names)

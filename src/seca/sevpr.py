@@ -58,14 +58,6 @@ class PrototypeBank:
         for i, k in enumerate(class_ids):
             self.refined_current[int(k)] = refined[i].copy()
 
-    def checksum_raw(self) -> str:
-        return T.checksum([self.raw[k] for k in sorted(self.raw)])
-
-    def checksum_snapshot(self) -> str:
-        return T.checksum(
-            [self.refined_snapshot[k] for k in sorted(self.refined_snapshot)]
-        )
-
 
 def _class_means(
     bank: PrototypeBank,

@@ -102,13 +102,6 @@ class SemanticProjectors:
             w_v=T.Parameter(w_v.astype(dtype), name="proj.w_v"),
         )
 
-    @classmethod
-    def zeros(cls, cfg: EncoderConfig, dtype=np.float64):
-        return cls(
-            w_s=T.Parameter(np.zeros((cfg.d_t, cfg.d_v), dtype=dtype), name="proj.w_s"),
-            w_v=T.Parameter(np.zeros((cfg.d_v, cfg.d_v), dtype=dtype), name="proj.w_v"),
-        )
-
     def parameters(self) -> list[T.Parameter]:
         return [self.w_s, self.w_v]
 

@@ -114,9 +114,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         return Tensor(self.data)
 
@@ -1022,15 +1019,6 @@ def residual_tower(x, blocks: Sequence, adapters: Sequence | None = None) -> Ten
 
 def scalar(value, dtype=np.float64) -> Tensor:
     return Tensor(np.asarray(value, dtype=dtype))
-
-
-def check_prob(vec: np.ndarray, tol: float = 1e-9) -> bool:
-    vec = np.asarray(vec)
-    return bool(
-        np.all(vec >= -tol)
-        and np.all(vec <= 1 + tol)
-        and np.all(np.abs(vec.sum(axis=-1) - 1.0) <= max(tol, 1e-9))
-    )
 
 
 def checksum(arrays: Iterable[np.ndarray]) -> str:

@@ -11,6 +11,7 @@ probabilities over every class seen so far.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -24,8 +25,8 @@ from .datastream import TaskData, TaskStream
 from .encoder import AdapterStack, PromptBank, TextEncoder, VisualBackbone, \
     clip_logits, text_features
 from .errors import ConfigError, DataFormatError, ProtocolError
-from .replay import ReplayStore, deserialize_store, draw_pseudo_batch, \
-    fit_gaussians, replay_losses, serialize_store
+from .replay import ClassGaussian, ReplayStore, _lock, draw_pseudo_batch, \
+    fit_gaussians, replay_losses
 from .sevpr import AffinityModel, LinearHead, PrototypeBank, \
     adapted_prototypes, affinity_matrix, classifier_variant, loss_reg, \
     raw_prototypes, refine_prototypes, snapshot_prototypes
@@ -33,7 +34,7 @@ from .sgakt import POOL_STRATEGIES, AdapterPool, PoolEntry, \
     SemanticProjectors, loss_agg, loss_sgakt, semantic_vectors, teacher_result
 
 CKPT_MAGIC = b"SECA-CKPT"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 EVAL_BATCH = 256
 
@@ -363,82 +364,122 @@ def write_metrics(out_dir, metrics: Metrics, stream: TaskStream) -> None:
 
 
 # ---------------------------------------------------------------- checkpoint
+#
+# A checkpoint is a 13-byte header (CKPT_MAGIC, u32 CKPT_VERSION), one frame
+# per named array, and an end frame with an empty name and an empty body.
+# A frame is a u16 name length, the name, a u64 body size and the body: the
+# 32-byte sha256 of the name and the array (T.checksum), a u8 dtype code, a
+# u8 ndim, ndim u64 extents, and the little-endian data.
 
-_DTYPES = {0: "<f8", 1: "<f4", 2: "<i8"}
-_DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1,
-                np.dtype("int64"): 2}
+_DTYPES = ("<f8", "<f4", "<i8", "|u1")
+_END = struct.pack("<HQ", 0, 0)
+# PrototypeBank stores, each saved as sorted class ids plus one row per id
+_PROTO_STORES = ("raw", "adapted", "refined_current", "refined_snapshot")
 
 
-def _pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    out = [struct.pack("<I", len(arrays))]
-    for key in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[key])
-        if arr.dtype not in _DTYPE_CODES:
-            raise ValueError(f"unsupported array dtype {arr.dtype}")
+def _digest(name: bytes, arr: np.ndarray) -> bytes:
+    return bytes.fromhex(T.checksum([np.frombuffer(name, np.uint8), arr]))
+
+
+def _encode(arrays: dict[str, np.ndarray]) -> bytes:
+    """The checkpoint bytes of named arrays, framed in dict order."""
+    out = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
+    for key, arr in arrays.items():
         name = key.encode()
-        out.append(struct.pack("<H", len(name)))
-        out.append(name)
-        out.append(struct.pack("<BB", _DTYPE_CODES[arr.dtype], arr.ndim))
-        out.append(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-        out.append(arr.astype(_DTYPES[_DTYPE_CODES[arr.dtype]]).tobytes())
+        dt = np.asarray(arr).dtype.newbyteorder("<")
+        if not name or dt.str not in _DTYPES:
+            raise ValueError(f"cannot frame array {key!r} of dtype {dt}")
+        arr = np.asarray(arr, dtype=dt, order="C")
+        body = [_digest(name, arr),
+                struct.pack(f"<BB{arr.ndim}Q", _DTYPES.index(dt.str), arr.ndim,
+                            *arr.shape),
+                arr.tobytes()]
+        out += [struct.pack("<H", len(name)), name,
+                struct.pack("<Q", sum(map(len, body))), *body]
+    out.append(_END)
     return b"".join(out)
 
 
-def _unpack_arrays(blob: bytes) -> dict[str, np.ndarray]:
-    def need(n):
-        if off[0] + n > len(blob):
-            raise DataFormatError("truncated", "checkpoint section ends early")
+def _frame_array(name: bytes, body: bytes) -> np.ndarray:
+    code, ndim = body[32], body[33]
+    shape = struct.unpack_from(f"<{ndim}Q", body, 34)
+    dt = np.dtype(_DTYPES[code])
+    start = 34 + 8 * ndim
+    if len(body) != start + dt.itemsize * math.prod(shape):
+        raise ValueError("frame size disagrees with its shape")
+    arr = np.frombuffer(body, dt, offset=start).reshape(shape).copy()
+    if _digest(name, arr) != body[:32]:
+        raise ValueError("digest mismatch")
+    return arr
 
-    off = [0]
-    need(4)
-    count = struct.unpack_from("<I", blob, 0)[0]
-    off[0] = 4
+
+def _decode(blob: bytes) -> dict[str, np.ndarray]:
+    """Inverse of _encode; any damaged byte raises DataFormatError."""
+    if len(blob) < 13 or blob[:9] != CKPT_MAGIC:
+        raise DataFormatError("bad-magic", "not a SECA checkpoint")
+    version = struct.unpack_from("<I", blob, 9)[0]
+    if version != CKPT_VERSION:
+        raise DataFormatError("bad-version", f"checkpoint version {version} "
+                              f"unsupported; this build reads version "
+                              f"{CKPT_VERSION}")
     out = {}
-    for _ in range(count):
-        need(2)
-        klen = struct.unpack_from("<H", blob, off[0])[0]
-        off[0] += 2
-        need(klen + 2)
-        key = blob[off[0]:off[0] + klen].decode()
-        off[0] += klen
-        code, ndim = struct.unpack_from("<BB", blob, off[0])
-        off[0] += 2
-        if code not in _DTYPES:
-            raise DataFormatError("truncated", f"unknown dtype code {code}")
-        need(8 * ndim)
-        shape = struct.unpack_from(f"<{ndim}Q", blob, off[0])
-        off[0] += 8 * ndim
-        dt = np.dtype(_DTYPES[code])
-        total = int(np.prod(shape, dtype=np.int64))
-        need(dt.itemsize * total)
-        if total == 0:
-            out[key] = np.zeros(shape, dtype=dt)
-        else:
-            arr = np.frombuffer(blob, dtype=dt, count=total, offset=off[0])
-            out[key] = arr.reshape(shape).copy()
-        off[0] += dt.itemsize * total
-    if off[0] != len(blob):
-        raise DataFormatError("truncated", "trailing bytes in section")
+    off = 13
+    while True:
+        if off + 10 > len(blob):
+            raise DataFormatError("truncated", "checkpoint ends mid-frame")
+        nlen = struct.unpack_from("<H", blob, off)[0]
+        if off + 10 + nlen > len(blob):
+            raise DataFormatError("truncated", "checkpoint ends mid-frame")
+        name = blob[off + 2:off + 2 + nlen]
+        size = struct.unpack_from("<Q", blob, off + 2 + nlen)[0]
+        off += 10 + nlen
+        if off + size > len(blob):
+            raise DataFormatError("truncated", "checkpoint ends mid-frame")
+        body = blob[off:off + size]
+        off += size
+        if not name:
+            if size or off != len(blob):
+                raise DataFormatError("corrupt", "malformed end frame")
+            return out
+        try:
+            key = name.decode()
+            if key in out:
+                raise ValueError("duplicate frame")
+            out[key] = _frame_array(name, body)
+        except (ValueError, IndexError, struct.error) as e:
+            raise DataFormatError("corrupt",
+                                  f"checkpoint frame {name!r}: {e}") from e
+
+
+def _parameter_frames(state: TrainState) -> dict[str, T.Parameter]:
+    """Every parameter of the state, keyed by its checkpoint frame name."""
+    out = {f"prompt.{t}": p for t, p in sorted(state.prompts.prompts.items())}
+    stacks = [("adapter", state.adapter)]
+    stacks += [(f"pool.{i}", s) for i, s in enumerate(state.pool.stacks)]
+    for prefix, stack in stacks:
+        for layer, group in enumerate(stack.layers):
+            for name in AdapterStack.FIELDS:
+                out[f"{prefix}.{layer}.{name}"] = group[name]
+    out["proj.w_s"] = state.projectors.w_s
+    out["proj.w_v"] = state.projectors.w_v
+    out["affinity.h_proj"] = state.affinity.h_proj
+    if state.head is not None:
+        for t in sorted(state.head.blocks):
+            out[f"head.{t}.w"], out[f"head.{t}.b"] = state.head.blocks[t]
     return out
 
 
-def _stack_arrays(stack: AdapterStack, prefix: str) -> dict[str, np.ndarray]:
-    out = {}
-    for layer, group in enumerate(stack.layers):
-        for name in AdapterStack.FIELDS:
-            out[f"{prefix}{layer}.{name}"] = group[name].data
-    return out
+def _json_array(doc) -> np.ndarray:
+    return np.frombuffer(json.dumps(doc, sort_keys=True).encode(), np.uint8)
 
 
-def _load_stack_arrays(stack: AdapterStack, arrays, prefix: str) -> None:
-    for layer, group in enumerate(stack.layers):
-        for name in AdapterStack.FIELDS:
-            group[name].data[...] = arrays[f"{prefix}{layer}.{name}"]
+def _stacked(rows, *shape) -> np.ndarray:
+    """Stack float64 rows of one shape; zero rows give a (0, *shape) array."""
+    return np.array(rows, dtype=np.float64).reshape(len(rows), *shape)
 
 
 def save_checkpoint(path, state: TrainState) -> None:
     """Atomic, byte-deterministic snapshot of the whole training state."""
-    sections: list[tuple[str, bytes]] = []
     meta = {
         "task": state.task,
         "seen": [list(ids) for ids in state.seen],
@@ -446,58 +487,34 @@ def save_checkpoint(path, state: TrainState) -> None:
         "registry_seed": state.registry_seed,
         "names": {str(k): v for k, v in state.names.items()},
     }
-    sections.append(("meta", json.dumps(meta, sort_keys=True).encode()))
-    sections.append(("config", json.dumps(config_dict(state.cfg),
-                                          sort_keys=True).encode()))
-    sections.append(("prompts", _pack_arrays(
-        {f"prompt.{t}": p.data for t, p in state.prompts.prompts.items()})))
-    sections.append(("adapter", _pack_arrays(_stack_arrays(state.adapter, ""))))
-    pool_arrays = {"utilities": state.pool.utilities}
-    for i, stack in enumerate(state.pool.stacks):
-        pool_arrays.update(_stack_arrays(stack, f"{i}."))
-    sections.append(("pool", _pack_arrays(pool_arrays)))
-    sections.append(("projectors", _pack_arrays(
-        {"w_s": state.projectors.w_s.data, "w_v": state.projectors.w_v.data})))
-    sections.append(("affinity", _pack_arrays(
-        {"h_proj": state.affinity.h_proj.data})))
-    protos = {}
-    for k, v in state.protos.raw.items():
-        protos[f"raw.{k}"] = v
-    for k, v in state.protos.adapted.items():
-        protos[f"adapted.{k}"] = v
-    for k, v in state.protos.refined_current.items():
-        protos[f"cur.{k}"] = v
-    for k, v in state.protos.refined_snapshot.items():
-        protos[f"snap.{k}"] = v
-    counts = sorted(state.protos.counts.items())
-    protos["count_ids"] = np.array([k for k, _ in counts], dtype=np.int64)
-    protos["count_vals"] = np.array([v for _, v in counts], dtype=np.int64)
-    sections.append(("protos", _pack_arrays(protos)))
-    if state.head is not None:
-        head = {}
-        for t in sorted(state.head.blocks):
-            w, b = state.head.blocks[t]
-            head[f"{t}.w"] = w.data
-            head[f"{t}.b"] = b.data
-            head[f"{t}.ids"] = np.array(state.head.block_ids[t], dtype=np.int64)
-        sections.append(("head", _pack_arrays(head)))
+    d = state.cfg.encoder.d_v
+    arrays = {"meta": _json_array(meta),
+              "config": _json_array(config_dict(state.cfg)),
+              "pool.utilities": state.pool.utilities}
+    arrays.update((k, p.data) for k, p in _parameter_frames(state).items())
+    bank = state.protos
+    for store_name in _PROTO_STORES:
+        store = getattr(bank, store_name)
+        ids = sorted(store)
+        arrays[f"protos.{store_name}.ids"] = np.array(ids, dtype=np.int64)
+        arrays[f"protos.{store_name}"] = _stacked([store[k] for k in ids], d)
+    arrays["protos.counts"] = np.array(
+        [bank.counts[k] for k in sorted(bank.raw)], dtype=np.int64)
     if state.store is not None:
-        sections.append(("replay", serialize_store(state.store)))
-    optim = {}
+        ids = state.store.class_ids
+        gs = [state.store.classes[k] for k in ids]
+        cov_shape = (d, d) if state.cfg.replay_full_cov else (d,)
+        arrays["replay.ids"] = np.array(ids, dtype=np.int64)
+        arrays["replay.counts"] = np.array([g.count for g in gs],
+                                           dtype=np.int64)
+        arrays["replay.mu"] = _stacked([g.mu for g in gs], d)
+        arrays["replay.cov"] = _stacked([g.cov for g in gs], *cov_shape)
     for name, slot in sorted(state.optimizer.slots.items()):
-        optim[f"m.{name}"] = slot["m"]
-        optim[f"v.{name}"] = slot["v"]
-        optim[f"t.{name}"] = np.array([slot["t"]], dtype=np.int64)
-    sections.append(("optim", _pack_arrays(optim)))
+        arrays[f"optim.m.{name}"] = slot["m"]
+        arrays[f"optim.v.{name}"] = slot["v"]
+        arrays[f"optim.t.{name}"] = np.array([slot["t"]], dtype=np.int64)
 
-    payload = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
-    for name, blob in sections:
-        enc = name.encode()
-        payload.append(struct.pack("<H", len(enc)))
-        payload.append(enc)
-        payload.append(struct.pack("<Q", len(blob)))
-        payload.append(blob)
-    data = b"".join(payload)
+    data = _encode(arrays)
     dir_name = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=dir_name, prefix=".ckpt-")
     try:
@@ -510,105 +527,93 @@ def save_checkpoint(path, state: TrainState) -> None:
         raise
 
 
-def _read_sections(blob: bytes) -> dict[str, bytes]:
-    if len(blob) < 13 or blob[:9] != CKPT_MAGIC:
-        raise DataFormatError("bad-magic", "not a SECA checkpoint")
-    version = struct.unpack_from("<I", blob, 9)[0]
-    if version != CKPT_VERSION:
-        raise DataFormatError("bad-version",
-                              f"checkpoint version {version} unsupported")
-    off = 13
-    out = {}
-    while off < len(blob):
-        if off + 2 > len(blob):
-            raise DataFormatError("truncated", "checkpoint ends mid-header")
-        nlen = struct.unpack_from("<H", blob, off)[0]
-        off += 2
-        if off + nlen + 8 > len(blob):
-            raise DataFormatError("truncated", "checkpoint ends mid-header")
-        name = blob[off:off + nlen].decode()
-        off += nlen
-        size = struct.unpack_from("<Q", blob, off)[0]
-        off += 8
-        if off + size > len(blob):
-            raise DataFormatError("truncated", f"section {name} ends early")
-        out[name] = blob[off:off + size]
-        off += size
-    return out
-
-
 def load_checkpoint(path) -> TrainState:
     """Rebuild a saved state; malformed content raises DataFormatError."""
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        return _restore(_read_sections(blob))
-    except (ValueError, LookupError, ConfigError, ProtocolError) as e:
+        return _restore(_decode(blob))
+    except (ValueError, LookupError, TypeError, AttributeError, ConfigError,
+            ProtocolError) as e:
         raise DataFormatError("corrupt", f"malformed checkpoint: {e}") from e
 
 
-def _restore(sections: dict[str, bytes]) -> TrainState:
-    for required in ("meta", "config", "prompts", "adapter", "pool",
-                     "projectors", "affinity", "protos", "optim"):
-        if required not in sections:
-            raise DataFormatError("truncated", f"missing section {required}")
-    meta = json.loads(sections["meta"])
-    cfg = parse_config(json.loads(sections["config"]))
+def _take(arrays: dict, name: str, dtype, *shape) -> np.ndarray:
+    """Pop one decoded array, requiring its dtype and shape (None: any)."""
+    if name not in arrays:
+        raise DataFormatError("corrupt", f"checkpoint lacks {name}")
+    arr = arrays.pop(name)
+    if arr.dtype != dtype or arr.ndim != len(shape) or \
+            any(s not in (None, a) for s, a in zip(shape, arr.shape)):
+        raise DataFormatError("corrupt", f"checkpoint {name} is {arr.dtype} "
+                              f"{arr.shape}, expected {np.dtype(dtype)} "
+                              f"{shape}")
+    return arr
+
+
+def _class_ids(arrays: dict, name: str, allowed: set[int]) -> list[int]:
+    ids = _take(arrays, name, np.int64, None).tolist()
+    if ids != sorted(set(ids)) or not set(ids) <= allowed:
+        raise DataFormatError("corrupt", f"checkpoint {name} lists bad ids")
+    return ids
+
+
+def _restore(arrays: dict[str, np.ndarray]) -> TrainState:
+    meta = json.loads(_take(arrays, "meta", np.uint8, None).tobytes())
+    cfg = parse_config(json.loads(_take(arrays, "config", np.uint8,
+                                        None).tobytes()))
     names = {int(k): v for k, v in meta["names"].items()}
     state = init_state(cfg, sorted(names), names, meta["registry_seed"])
     state.task = int(meta["task"])
     state.seen = [tuple(int(k) for k in ids) for ids in meta["seen"]]
     state.replay_counter = int(meta["replay_counter"])
-    if not set(state.seen_ids()) <= set(names):
-        raise ValueError("seen classes outside the class registry")
+    seen = set(state.seen_ids())
+    if len(state.seen) != state.task or not seen <= set(names):
+        raise ValueError("seen classes disagree with the task count or the "
+                         "class registry")
 
-    prompts = _unpack_arrays(sections["prompts"])
-    for key, arr in prompts.items():
-        t = int(key.split(".")[1])
-        p = state.prompts.new_prompt(t, cfg.seed)
-        p.data[...] = arr
+    # rebuild the parameter skeleton, then fill it frame by frame
+    for t in range(1, state.task + 1):
+        state.prompts.new_prompt(t, cfg.seed)
         state.prompts.freeze_task(t)
-    _load_stack_arrays(state.adapter, _unpack_arrays(sections["adapter"]), "")
-    pool_arrays = _unpack_arrays(sections["pool"])
-    utilities = pool_arrays["utilities"]
-    for i in range(utilities.size):
-        stack = state.adapter.freeze_copy()
-        _load_stack_arrays(stack, pool_arrays, f"{i}.")
-        state.pool.entries.append(PoolEntry(stack, float(utilities[i])))
-    proj = _unpack_arrays(sections["projectors"])
-    state.projectors.w_s.data[...] = proj["w_s"]
-    state.projectors.w_v.data[...] = proj["w_v"]
-    state.affinity.h_proj.data[...] = _unpack_arrays(
-        sections["affinity"])["h_proj"]
-    protos = _unpack_arrays(sections["protos"])
-    for key, arr in protos.items():
-        if key in ("count_ids", "count_vals"):
-            continue
-        kind, cid = key.split(".")
-        target = {"raw": state.protos.raw, "adapted": state.protos.adapted,
-                  "cur": state.protos.refined_current,
-                  "snap": state.protos.refined_snapshot}[kind]
-        arr = arr.copy()
-        arr.setflags(write=False)
-        target[int(cid)] = arr
-    state.protos.counts = dict(zip(protos["count_ids"].tolist(),
-                                   protos["count_vals"].tolist()))
-    if "head" in sections:
-        head_arrays = _unpack_arrays(sections["head"])
-        tasks = sorted({int(k.split(".")[0]) for k in head_arrays})
-        for t in tasks:
-            state.head.add_task(t, head_arrays[f"{t}.ids"].tolist())
-            w, b = state.head.blocks[t]
-            w.data[...] = head_arrays[f"{t}.w"]
-            b.data[...] = head_arrays[f"{t}.b"]
-    if "replay" in sections:
-        state.store = deserialize_store(sections["replay"])
-    for key, arr in _unpack_arrays(sections["optim"]).items():
-        field_name, name = key.split(".", 1)
-        slot = state.optimizer.slots.setdefault(name, {"m": None, "v": None,
-                                                       "t": 0})
-        if field_name == "t":
-            slot["t"] = int(arr[0])
-        else:
-            slot[field_name] = arr
+    utilities = _take(arrays, "pool.utilities", np.float64, None)
+    if cfg.pool_max is not None and utilities.size > cfg.pool_max:
+        raise ValueError("adapter pool exceeds pool_max")
+    for u in utilities.tolist():
+        state.pool.entries.append(PoolEntry(state.adapter.freeze_copy(), u))
+    if state.head is not None:
+        for t, ids in enumerate(state.seen, start=1):
+            state.head.add_task(t, ids)
+    by_name = {}
+    for frame, p in _parameter_frames(state).items():
+        p.data[...] = _take(arrays, frame, p.data.dtype, *p.data.shape)
+        by_name[p.name] = p
+
+    d = cfg.encoder.d_v
+    bank = state.protos
+    for store_name in _PROTO_STORES:
+        ids = _class_ids(arrays, f"protos.{store_name}.ids", seen)
+        rows = _take(arrays, f"protos.{store_name}", np.float64, len(ids), d)
+        setattr(bank, store_name, dict(zip(ids, _lock(rows))))
+    counts = _take(arrays, "protos.counts", np.int64, len(bank.raw))
+    bank.counts = dict(zip(bank.raw, counts.tolist()))
+    if state.store is not None:
+        ids = _class_ids(arrays, "replay.ids", seen)
+        n = len(ids)
+        cov_shape = (d, d) if cfg.replay_full_cov else (d,)
+        counts = _take(arrays, "replay.counts", np.int64, n).tolist()
+        mu = _lock(_take(arrays, "replay.mu", np.float64, n, d))
+        cov = _lock(_take(arrays, "replay.cov", np.float64, n, *cov_shape))
+        state.store.classes = {k: ClassGaussian(mu[i], cov[i], counts[i])
+                               for i, k in enumerate(ids)}
+    for frame in [k for k in arrays if k.startswith("optim.t.")]:
+        name = frame[len("optim.t."):]
+        p = by_name[name]
+        state.optimizer.slots[name] = {
+            "m": _take(arrays, f"optim.m.{name}", p.data.dtype, *p.data.shape),
+            "v": _take(arrays, f"optim.v.{name}", p.data.dtype, *p.data.shape),
+            "t": int(_take(arrays, frame, np.int64, 1)[0]),
+        }
+    if arrays:
+        raise ValueError(f"unexpected checkpoint frames {sorted(arrays)[:3]}")
     return state

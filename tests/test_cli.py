@@ -115,8 +115,9 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", str(bad),
                          "--out", str(tmp_path / "o")]) == 3
 
+    @pytest.mark.parametrize("region", ["json", "file"])
     def test_bit_flips_in_json_sections_exit_0_or_3(self, train_dir, tmp_path,
-                                                    capsys):
+                                                    capsys, region):
         blob = (train_dir / "run.ckpt").read_bytes()
         # the meta and config JSON sections come first, after the 13-byte
         # header; each is a u16 name length, the name, a u64 size, the body
@@ -125,6 +126,8 @@ class TestEval:
             nlen = struct.unpack_from("<H", blob, end)[0]
             size = struct.unpack_from("<Q", blob, end + 2 + nlen)[0]
             end += 2 + nlen + 8 + size
+        if region == "file":
+            end = len(blob)
         rng = np.random.default_rng(40)
         bad = tmp_path / "bad.ckpt"
         codes = []
@@ -138,6 +141,8 @@ class TestEval:
         capsys.readouterr()
         assert set(codes) <= {0, 3}, codes
         assert codes.count(3) >= 30
+        if region == "file":
+            assert codes == [3] * 40
 
 
 class TestAblations:

@@ -35,6 +35,13 @@ def text_forward(text_enc, bank, class_id, prompt) -> T.Tensor:
     return T.reshape(feats, (text_enc.cfg.d_t,))
 
 
+def zero_projectors() -> SemanticProjectors:
+    projectors = SemanticProjectors.create(CFG, seed=0)
+    projectors.w_s.data[...] = 0.0
+    projectors.w_v.data[...] = 0.0
+    return projectors
+
+
 def noisy_stack(seed: int) -> AdapterStack:
     stack = AdapterStack(CFG, seed=seed)
     rng = np.random.default_rng(seed + 100)
@@ -132,7 +139,7 @@ def build_relevance(world, projectors):
 
 class TestRelevance:
     def test_zero_projectors_zero_scores(self, world):
-        projectors = SemanticProjectors.zeros(CFG)
+        projectors = zero_projectors()
         _, _, _, alpha = build_relevance(world, projectors)
         assert alpha.data.shape == (4, 3)
         assert np.all(alpha.data == 0.0)
@@ -212,7 +219,7 @@ class TestAggregate:
         alpha = T.Tensor(np.random.default_rng(4).standard_normal((4, 3)))
         res = aggregate(views, alpha, lam=2.5)
         for row in res.weights.data:
-            assert T.check_prob(row)
+            assert np.all(row >= 0.0) and abs(row.sum() - 1.0) <= 1e-9
         stackv = np.stack([v.data for v in views])
         lo, hi = stackv.min(axis=0), stackv.max(axis=0)
         assert np.all(res.v_agg.data >= lo - 1e-12)
@@ -232,13 +239,13 @@ class TestLossAgg:
         feats = T.Tensor(np.eye(3, 12))
         v_agg = T.Tensor(np.eye(3, 12) * 2.0)
         loss = loss_agg(v_agg, feats, np.array([0, 1, 2]), tau=0.001)
-        assert loss.item() < 1e-6
+        assert loss.data.item() < 1e-6
 
     def test_uniform_logits(self):
         feats = T.Tensor(np.eye(3, 12))
         v_agg = T.Tensor(np.tile(np.ones(12) / np.sqrt(12), (2, 1)))
         loss = loss_agg(v_agg, feats, np.array([0, 2]), tau=0.5)
-        assert loss.item() == pytest.approx(np.log(3), abs=1e-10)
+        assert loss.data.item() == pytest.approx(np.log(3), abs=1e-10)
 
     def test_composition_oracle(self):
         rng = np.random.default_rng(5)
@@ -253,7 +260,7 @@ class TestLossAgg:
         z -= z.max(axis=1, keepdims=True)
         p = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
         want = -np.log(p[np.arange(4), ys] + 1e-12).mean()
-        assert loss.item() == pytest.approx(want, abs=1e-12)
+        assert loss.data.item() == pytest.approx(want, abs=1e-12)
 
     def test_label_outside_support(self):
         feats = T.Tensor(np.eye(3, 12))
@@ -267,14 +274,14 @@ class TestLossSgakt:
         v = T.Tensor(rng.standard_normal((4, 12)))
         feats = T.Tensor(rng.standard_normal((3, 12)))
         loss = loss_sgakt(v, v, feats, tau_prime=20.0)
-        assert abs(loss.item()) <= 1e-9
+        assert abs(loss.data.item()) <= 1e-9
 
     def test_one_hot_teacher_uniform_student(self):
         feats = T.Tensor(np.eye(4, 12))
         teacher_f = T.Tensor(np.eye(1, 12))
         student_f = T.Tensor(np.ones((1, 12)) / np.sqrt(12))
         loss = loss_sgakt(teacher_f, student_f, feats, tau_prime=0.001)
-        assert loss.item() == pytest.approx(np.log(4), abs=1e-6)
+        assert loss.data.item() == pytest.approx(np.log(4), abs=1e-6)
 
     def test_summation_oracle(self):
         rng = np.random.default_rng(7)
@@ -293,7 +300,7 @@ class TestLossSgakt:
         t, s = probs(va), probs(fv)
         want = (t * (np.log(t + eps) - np.log(s + eps))).sum() / 4
         loss = loss_sgakt(T.Tensor(va), T.Tensor(fv), T.Tensor(feats), tau_p, eps)
-        assert loss.item() == pytest.approx(want, abs=1e-12)
+        assert loss.data.item() == pytest.approx(want, abs=1e-12)
 
     def test_bad_temperature(self):
         v = T.Tensor(np.ones((1, 12)))
@@ -445,46 +452,46 @@ class TestDistillVariants:
 
     def test_seq_is_zero(self, world):
         kw = self.pieces(world, world[3])
-        assert distill_loss("seq", projectors=SemanticProjectors.zeros(CFG),
+        assert distill_loss("seq", projectors=zero_projectors(),
                             **kw) is None
 
     def test_vanilla_at_task_one_is_zero(self, world):
         kw = self.pieces(world, AdapterPool())
-        assert distill_loss("vanilla", projectors=SemanticProjectors.zeros(CFG),
+        assert distill_loss("vanilla", projectors=zero_projectors(),
                             **kw) is None
 
     def test_degenerate_pool_avg_kd_equals_vanilla(self, world):
         pool = AdapterPool(max_size=5)
         pool.admit_and_prune(noisy_stack(31))
         kw = self.pieces(world, pool)
-        zeros = SemanticProjectors.zeros(CFG)
+        zeros = zero_projectors()
         a = distill_loss("avg_kd", projectors=zeros, **kw)
         b = distill_loss("vanilla", projectors=zeros, **kw)
-        assert a.item() == b.item()
+        assert a.data.item() == b.data.item()
 
     def test_zero_projectors_collapse_to_avg_kd(self, world):
-        zeros = SemanticProjectors.zeros(CFG)
+        zeros = zero_projectors()
         for batch_seed in range(5):
             x = np.random.default_rng(batch_seed).standard_normal((3, CFG.d_v))
             kw = self.pieces((world[0], world[1], world[2], world[3], x), world[3])
             kw["ys_local"] = np.array([1, 0, 1])
             a = distill_loss("sg_akt", projectors=zeros, **kw)
             b = distill_loss("avg_kd", projectors=zeros, **kw)
-            assert a.item() == b.item()
+            assert a.data.item() == b.data.item()
 
     def test_clip_kd_uses_adapter_free_teacher(self, world):
         backbone = world[0]
         kw = self.pieces(world, world[3])
-        loss = distill_loss("clip_kd", projectors=SemanticProjectors.zeros(CFG),
+        loss = distill_loss("clip_kd", projectors=zero_projectors(),
                             **kw)
         raw_view = backbone.forward(kw["x"], None)
         want = loss_sgakt(raw_view, kw["f_v"], kw["text_feats"], tau_prime=20.0)
-        assert loss.item() == want.item()
+        assert loss.data.item() == want.data.item()
 
     def test_teacher_result_weights_uniform_for_avg_kd(self, world):
         kw = self.pieces(world, world[3])
         res = teacher_result("avg_kd", kw["backbone"], kw["x"], kw["pool"],
-                             None, kw["ys_local"], SemanticProjectors.zeros(CFG), 1.0)
+                             None, kw["ys_local"], zero_projectors(), 1.0)
         np.testing.assert_array_equal(res.weights.data,
                                       np.full((4, 3), 1 / 3))
 
@@ -492,4 +499,4 @@ class TestDistillVariants:
         kw = self.pieces(world, world[3])
         with pytest.raises(ConfigError):
             distill_loss("distill-all",
-                         projectors=SemanticProjectors.zeros(CFG), **kw)
+                         projectors=zero_projectors(), **kw)

@@ -10,20 +10,23 @@ import hashlib
 import json
 import struct
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seca import tensor as T
 from seca.config import DataConfig, RunConfig, beta_value, build_stream
 from seca.datastream import SyntheticSpec, gen_synthetic
 from seca.encoder import EncoderConfig, clip_logits, text_features
 from seca.errors import DataFormatError, ProtocolError
-from seca.replay import draw_pseudo_batch, replay_losses
+from seca.replay import draw_pseudo_batch, replay_losses, sample
 from seca.sevpr import affinity_matrix, loss_ce_v, loss_reg, refine_prototypes
 from seca.sgakt import loss_agg, loss_sgakt, semantic_vectors, teacher_result
-from seca.trainer import Adam, Metrics, _replay_seed, accuracy, \
-    load_checkpoint, predict, predict_scores, run_stream, save_checkpoint, \
-    state_for_stream, train_task, write_metrics
+from seca.trainer import Adam, Metrics, _decode, _encode, _replay_seed, \
+    accuracy, load_checkpoint, predict, predict_scores, run_stream, \
+    save_checkpoint, state_for_stream, train_task, write_metrics
 
 ENC = EncoderConfig(d_v=16, d_t=16, layers=2, adapter_width=4, seed=1)
 SPEC3 = SyntheticSpec(num_tasks=3, classes_per_task=2, dim=16, superclasses=3,
@@ -603,15 +606,50 @@ class TestMetrics:
         assert summary == m.summary()
 
 
+# (frame, change) pairs that frame and digest correctly but do not fit the
+# state the stored config builds; a change is an array, a function of the
+# stored array, or None to drop the frame
+MISFIT = {
+    "w_s-broadcastable": ("proj.w_s", np.zeros(1)),
+    "w_s-float32": ("proj.w_s", lambda a: a.astype(np.float32)),
+    "prompt-transposed": ("prompt.2", lambda a: a.T.copy()),
+    "adapter-longer": ("adapter.0.up_b", lambda a: np.zeros(a.size + 1)),
+    "pool-entry-short": ("pool.0.1.down_w", lambda a: a[:-1]),
+    "raw-protos-narrow": ("protos.raw", lambda a: a[:, :-1]),
+    "raw-ids-unsorted": ("protos.raw.ids", lambda a: a[::-1].copy()),
+    "raw-ids-unseen": ("protos.raw.ids", lambda a: a + 100),
+    "counts-short": ("protos.counts", lambda a: a[:-1]),
+    "replay-cov-full": ("replay.cov", lambda a: np.stack(
+        [np.diag(row) for row in a])),
+    "replay-mu-int": ("replay.mu", lambda a: a.astype(np.int64)),
+    "optim-m": ("optim.m.proj.w_s", np.zeros(3)),
+    "optim-t-unknown": ("optim.t.proj.w_x", np.ones(1, dtype=np.int64)),
+    "meta-float": ("meta", lambda a: a.astype(np.float64)),
+    "affinity-missing": ("affinity.h_proj", None),
+    "unexpected-frame": ("bogus", np.zeros(1)),
+}
+
+
 class TestCheckpoint:
-    def test_full_round_trip(self, tmp_path):
-        state, stream = run_tasks(make_cfg(replay=True))
+    @pytest.mark.parametrize("full_cov", [False, True])
+    def test_full_round_trip(self, tmp_path, full_cov):
+        state, stream = run_tasks(make_cfg(replay=True,
+                                           replay_full_cov=full_cov))
         x = np.concatenate([t.test_x for t in stream.tasks])
         p1 = tmp_path / "run.ckpt"
         save_checkpoint(p1, state)
         loaded = load_checkpoint(p1)
         assert np.array_equal(predict(state, x), predict(loaded, x))
         assert state_digest(loaded) == state_digest(state)
+        assert loaded.store.class_ids == state.store.class_ids
+        for k in state.store.class_ids:
+            a, b = state.store.classes[k], loaded.store.classes[k]
+            assert a.mu.shape == b.mu.shape and a.cov.shape == b.cov.shape
+            assert a.mu.tobytes() == b.mu.tobytes()
+            assert a.cov.tobytes() == b.cov.tobytes()
+            assert a.count == b.count and b.diagonal == (not full_cov)
+            assert np.array_equal(sample(state.store, k, 5, seed=9),
+                                  sample(loaded.store, k, 5, seed=9))
         p2 = tmp_path / "again.ckpt"
         save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
@@ -661,6 +699,61 @@ class TestCheckpoint:
             load_checkpoint(bad)
         assert e.value.code == "truncated"
 
+    def test_damaged_frames_are_corrupt(self, tmp_path):
+        state, _ = run_tasks(make_cfg(), upto=1)
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(path, state)
+        blob = path.read_bytes()
+        nlen = struct.unpack_from("<H", blob, 13)[0]
+        first = blob[13:13 + 10 + nlen
+                     + struct.unpack_from("<Q", blob, 15 + nlen)[0]]
+        end = len(blob) - 10  # the end frame: empty name, empty body
+        bad = tmp_path / "bad.ckpt"
+        for damaged in (blob + b"\x00",  # trailing byte
+                        blob[:end - 1] + bytes([blob[end - 1] ^ 1]) + blob[end:],
+                        blob[:end] + first + blob[end:]):  # duplicate name
+            bad.write_bytes(damaged)
+            with pytest.raises(DataFormatError) as e:
+                load_checkpoint(bad)
+            assert e.value.code == "corrupt" and e.value.exit_code == 3
+
+        bad.write_bytes(blob[:9] + struct.pack("<I", 1) + blob[13:])
+        with pytest.raises(DataFormatError) as e:
+            load_checkpoint(bad)
+        assert e.value.code == "bad-version" and "version 1 " in str(e.value)
+
+    @pytest.mark.parametrize("case", sorted(MISFIT))
+    def test_misfit_arrays_are_corrupt(self, tmp_path, case):
+        state, _ = run_tasks(make_cfg(replay=True, pool_max=1))
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(path, state)
+        load_checkpoint(path)
+        frame, change = MISFIT[case]
+        arrays = _decode(path.read_bytes())
+        if change is None:
+            del arrays[frame]
+        else:
+            arrays[frame] = change(arrays[frame]) if callable(change) \
+                else change
+        path.write_bytes(_encode(arrays))
+        with pytest.raises(DataFormatError) as e:
+            load_checkpoint(path)
+        assert e.value.code == "corrupt"
+
+    def test_pool_beyond_pool_max_is_corrupt(self, tmp_path):
+        state, _ = run_tasks(make_cfg(pool_max=1))
+        path = tmp_path / "ok.ckpt"
+        save_checkpoint(path, state)
+        arrays = _decode(path.read_bytes())
+        # a second well-formed pool entry, beyond pool_max=1
+        arrays.update({k.replace("pool.0.", "pool.1."): v
+                       for k, v in arrays.items() if k.startswith("pool.0.")})
+        arrays["pool.utilities"] = np.ones(2)
+        path.write_bytes(_encode(arrays))
+        with pytest.raises(DataFormatError) as e:
+            load_checkpoint(path)
+        assert e.value.code == "corrupt"
+
     def test_overwrite_in_place(self, tmp_path):
         state, _ = run_tasks(make_cfg(), upto=1)
         path = tmp_path / "same.ckpt"
@@ -668,6 +761,42 @@ class TestCheckpoint:
         first = path.read_bytes()
         save_checkpoint(path, state)
         assert path.read_bytes() == first
+
+
+ARRAY_DICTS = st.dictionaries(
+    st.text(min_size=1, max_size=12),
+    hnp.arrays(st.sampled_from([np.float64, np.float32, np.int64, np.uint8]),
+               hnp.array_shapes(min_dims=0, max_dims=3, min_side=0,
+                                max_side=4)),
+    max_size=5)
+
+
+class TestCodec:
+    @given(ARRAY_DICTS)
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_bitwise(self, arrays):
+        back = _decode(_encode(arrays))
+        assert list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert back[name].dtype == arr.dtype
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes()
+
+    @given(ARRAY_DICTS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_flipped_byte_raises(self, arrays, data):
+        blob = bytearray(_encode(arrays))
+        blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
+            data.draw(st.integers(1, 255))
+        with pytest.raises(DataFormatError):
+            _decode(bytes(blob))
+
+    @given(ARRAY_DICTS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_truncation_raises(self, arrays, data):
+        blob = _encode(arrays)
+        with pytest.raises(DataFormatError):
+            _decode(blob[:data.draw(st.integers(0, len(blob) - 1))])
 
 
 class TestStrategyParity:
