@@ -1,11 +1,13 @@
-"""Gaussian feature replay: fitting, sampling, replayed losses."""
+"""Gaussian feature replay: fitting, sampling, replayed losses, wire format."""
 
 import numpy as np
 import pytest
 
 import seca.tensor as T
-from seca.datastream import read_feature_bank, write_feature_bank
-from seca.errors import ProtocolError
+from seca.config import DataConfig, RunConfig, build_stream
+from seca.datastream import SyntheticSpec, read_feature_bank, write_feature_bank
+from seca.encoder import EncoderConfig
+from seca.errors import DataFormatError, ProtocolError
 from seca.replay import (
     VAR_FLOOR,
     PseudoBatch,
@@ -15,6 +17,8 @@ from seca.replay import (
     replay_losses,
     sample,
 )
+from seca.trainer import load_checkpoint, save_checkpoint, state_for_stream, \
+    train_task
 
 
 class TestFit:
@@ -258,6 +262,67 @@ class TestReplayLosses:
                             np.array([0], dtype=np.int64))
         with pytest.raises(ValueError):
             replay_losses(batch, np.eye(3, 4), np.eye(3, 4), [0, 1], 0.5)
+
+
+class TestWireFormat:
+    """A replay store is written and read as the checkpoint's replay frames."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        spec = SyntheticSpec(num_tasks=2, classes_per_task=2, dim=8,
+                             superclasses=2, mean_correlation=0.2, noise=0.05,
+                             train_per_class=6, test_per_class=2, seed=30)
+        cfg = RunConfig(epochs_per_task=1, batch_size=8, replay=True,
+                        replay_full_cov=True,
+                        encoder=EncoderConfig(d_v=8, d_t=8, layers=1,
+                                              adapter_width=2, seed=1),
+                        data=DataConfig(synthetic=spec))
+        stream = build_stream(cfg.data)
+        state = state_for_stream(cfg, stream)
+        for task in stream.tasks:
+            train_task(state, task)
+        path = tmp_path_factory.mktemp("wire") / "store.ckpt"
+        save_checkpoint(path, state)
+        return state.store, path
+
+    def test_round_trip_bitwise(self, saved):
+        store, path = saved
+        back = load_checkpoint(path).store
+        assert back.dim == store.dim and back.class_ids == (0, 1, 2, 3)
+        for k in back.class_ids:
+            a, b = store.classes[k], back.classes[k]
+            assert a.mu.tobytes() == b.mu.tobytes()
+            assert a.cov.shape == b.cov.shape == (store.dim, store.dim)
+            assert a.cov.tobytes() == b.cov.tobytes()
+            assert a.count == b.count and not b.diagonal
+
+    def test_samples_survive_round_trip(self, saved):
+        store, path = saved
+        back = load_checkpoint(path).store
+        for k in store.class_ids:
+            assert np.array_equal(sample(store, k, 5, seed=9),
+                                  sample(back, k, 5, seed=9))
+
+    def test_bad_magic(self, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"NOTASTORE" + b"\x00" * 16)
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(bad)
+        assert err.value.code == "bad-magic"
+
+    def test_truncated(self, saved, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(saved[1].read_bytes()[:-4])
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(bad)
+        assert err.value.code == "truncated"
+
+    def test_trailing_bytes(self, saved, tmp_path):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(saved[1].read_bytes() + b"\x00")
+        with pytest.raises(DataFormatError) as err:
+            load_checkpoint(bad)
+        assert err.value.code == "corrupt"
 
 
 class TestExport:
