@@ -130,25 +130,22 @@ def _get(obj: dict, key: str, kinds, path: str, default):
     return val
 
 
+_NUM = [int, float]  # numbers; top-level ones are stored as floats
+_ENCODER_KEYS = ("d_v", "d_t", "layers", "adapter_width", "prompt_tokens",
+                 "seed")
+_SYNTH_KEYS = ("num_tasks", "classes_per_task", "dim", "superclasses",
+               "mean_correlation", "noise", "train_per_class",
+               "test_per_class", "seed")
+_SYNTH_FLOATS = ("mean_correlation", "noise")
+
+
 def _parse_encoder(obj, path: str) -> EncoderConfig:
     if not isinstance(obj, dict):
         raise ConfigError(f"{path}: expected an object")
-    defaults = EncoderConfig()
-    _check_keys(obj, ("d_v", "d_t", "layers", "adapter_width",
-                      "prompt_tokens", "seed"), path + ".")
-    try:
-        return EncoderConfig(
-            d_v=_get(obj, "d_v", [int], path + ".", defaults.d_v),
-            d_t=_get(obj, "d_t", [int], path + ".", defaults.d_t),
-            layers=_get(obj, "layers", [int], path + ".", defaults.layers),
-            adapter_width=_get(obj, "adapter_width", [int], path + ".",
-                               defaults.adapter_width),
-            prompt_tokens=_get(obj, "prompt_tokens", [int], path + ".",
-                               defaults.prompt_tokens),
-            seed=_get(obj, "seed", [int], path + ".", defaults.seed),
-        )
-    except ConfigError:
-        raise  # messages already carry the encoder. prefix
+    d = EncoderConfig()
+    _check_keys(obj, _ENCODER_KEYS, path + ".")
+    return EncoderConfig(**{k: _get(obj, k, [int], path + ".", getattr(d, k))
+                            for k in _ENCODER_KEYS})
 
 
 def _parse_data(obj, path: str) -> DataConfig:
@@ -162,26 +159,12 @@ def _parse_data(obj, path: str) -> DataConfig:
         if not isinstance(sub, dict):
             raise ConfigError(f"{path}.synthetic: expected an object")
         d = SyntheticSpec()
-        _check_keys(sub, ("num_tasks", "classes_per_task", "dim", "superclasses",
-                          "mean_correlation", "noise", "train_per_class",
-                          "test_per_class", "seed"), subpath)
+        _check_keys(sub, _SYNTH_KEYS, subpath)
         try:
-            spec = SyntheticSpec(
-                num_tasks=_get(sub, "num_tasks", [int], subpath, d.num_tasks),
-                classes_per_task=_get(sub, "classes_per_task", [int], subpath,
-                                      d.classes_per_task),
-                dim=_get(sub, "dim", [int], subpath, d.dim),
-                superclasses=_get(sub, "superclasses", [int], subpath,
-                                  d.superclasses),
-                mean_correlation=_get(sub, "mean_correlation", [int, float],
-                                      subpath, d.mean_correlation),
-                noise=_get(sub, "noise", [int, float], subpath, d.noise),
-                train_per_class=_get(sub, "train_per_class", [int], subpath,
-                                     d.train_per_class),
-                test_per_class=_get(sub, "test_per_class", [int], subpath,
-                                    d.test_per_class),
-                seed=_get(sub, "seed", [int], subpath, d.seed),
-            )
+            spec = SyntheticSpec(**{
+                k: _get(sub, k, _NUM if k in _SYNTH_FLOATS else [int],
+                        subpath, getattr(d, k))
+                for k in _SYNTH_KEYS})
         except ConfigError as e:
             raise ConfigError(f"data.synthetic: {e}") from None
         return DataConfig(synthetic=spec)
@@ -200,10 +183,15 @@ def _parse_data(obj, path: str) -> DataConfig:
     return DataConfig(synthetic=None, bank=bank)
 
 
-_TOP_KEYS = ("tau", "tau_prime", "agg_lambda", "affinity_gamma",
-             "utility_momentum", "kl_epsilon", "pool_max", "beta", "lr",
-             "epochs_per_task", "batch_size", "seed", "replay",
-             "replay_full_cov", "distill", "classifier", "encoder", "data")
+# the top-level scalar fields and the JSON types each takes, in check order
+_SCALARS = (("tau", _NUM), ("tau_prime", _NUM), ("agg_lambda", _NUM),
+            ("affinity_gamma", _NUM), ("utility_momentum", _NUM),
+            ("kl_epsilon", _NUM), ("lr", _NUM), ("epochs_per_task", [int]),
+            ("batch_size", [int]), ("seed", [int]), ("replay", [bool]),
+            ("replay_full_cov", [bool]), ("distill", [str]),
+            ("classifier", [str]))
+_TOP_KEYS = tuple(k for k, _ in _SCALARS) + ("pool_max", "beta", "encoder",
+                                              "data")
 
 
 def parse_config(obj) -> RunConfig:
@@ -222,25 +210,12 @@ def parse_config(obj) -> RunConfig:
         raise ConfigError("beta: wrong type (number or schedule name)")
     if isinstance(beta, (int, float)):
         beta = float(beta)
+    fields = {}
+    for key, kinds in _SCALARS:
+        val = _get(obj, key, kinds, "", getattr(d, key))
+        fields[key] = float(val) if kinds is _NUM else val
     return RunConfig(
-        tau=float(_get(obj, "tau", [int, float], "", d.tau)),
-        tau_prime=float(_get(obj, "tau_prime", [int, float], "", d.tau_prime)),
-        agg_lambda=float(_get(obj, "agg_lambda", [int, float], "", d.agg_lambda)),
-        affinity_gamma=float(_get(obj, "affinity_gamma", [int, float], "",
-                                  d.affinity_gamma)),
-        utility_momentum=float(_get(obj, "utility_momentum", [int, float], "",
-                                    d.utility_momentum)),
-        kl_epsilon=float(_get(obj, "kl_epsilon", [int, float], "", d.kl_epsilon)),
-        pool_max=pool_max,
-        beta=beta,
-        lr=float(_get(obj, "lr", [int, float], "", d.lr)),
-        epochs_per_task=_get(obj, "epochs_per_task", [int], "", d.epochs_per_task),
-        batch_size=_get(obj, "batch_size", [int], "", d.batch_size),
-        seed=_get(obj, "seed", [int], "", d.seed),
-        replay=_get(obj, "replay", [bool], "", d.replay),
-        replay_full_cov=_get(obj, "replay_full_cov", [bool], "", d.replay_full_cov),
-        distill=_get(obj, "distill", [str], "", d.distill),
-        classifier=_get(obj, "classifier", [str], "", d.classifier),
+        pool_max=pool_max, beta=beta, **fields,
         encoder=_parse_encoder(obj["encoder"], "encoder")
         if "encoder" in obj else EncoderConfig(),
         data=_parse_data(obj["data"], "data") if "data" in obj else DataConfig(),

@@ -139,13 +139,8 @@ def gen_synthetic(spec: SyntheticSpec) -> TaskStream:
         ids = tuple(int(k) for k in ids)
         tr = np.isin(train_y, ids)
         te = np.isin(test_y, ids)
-        tasks.append(TaskData(
-            class_ids=ids,
-            train_x=_lock(train_x[tr]),
-            train_y=_lock(train_y[tr]),
-            test_x=_lock(test_x[te]),
-            test_y=_lock(test_y[te]),
-        ))
+        tasks.append(TaskData(ids, *map(_lock, (train_x[tr], train_y[tr],
+                                                test_x[te], test_y[te]))))
     names = {k: f"sc{k % spec.superclasses}-class-{k}" for k in range(total)}
     return TaskStream(tasks=tuple(tasks), names=names, dim=spec.dim)
 
@@ -268,13 +263,8 @@ def load_feature_bank(path, rule: SplitRule) -> TaskStream:
         ids = tuple(range(s * per_task, (s + 1) * per_task))
         tr = np.concatenate([train_idx[k] for k in ids])
         te = np.concatenate([test_idx[k] for k in ids])
-        tasks.append(TaskData(
-            class_ids=ids,
-            train_x=_lock(features[tr]),
-            train_y=_lock(labels[tr]),
-            test_x=_lock(features[te]),
-            test_y=_lock(labels[te]),
-        ))
+        tasks.append(TaskData(ids, *map(_lock, (features[tr], labels[tr],
+                                                features[te], labels[te]))))
     return TaskStream(tasks=tuple(tasks), names=names, dim=features.shape[1])
 
 

@@ -13,16 +13,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding, tensor as T
+from .datastream import _lock
 from .encoder import clip_logits
 from .errors import ConfigError, ProtocolError
 from .tensor import cross_entropy_rows, softmax_temp
 
 VAR_FLOOR = 1e-6
-
-
-def _lock(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True)
@@ -87,15 +83,10 @@ def fit_gaussians(store: ReplayStore, feats, ys, class_ids,
             raise ValueError(f"no samples for class {k}")
         mu = rows.mean(axis=0)
         if full_cov:
-            if n < 2:
-                cov = np.eye(store.dim) * VAR_FLOOR
-            else:
-                cov = _floor_full(np.cov(rows, rowvar=False, ddof=1))
+            cov = _floor_full(np.cov(rows, rowvar=False, ddof=1)) if n > 1 \
+                else np.eye(store.dim) * VAR_FLOOR
         else:
-            if n < 2:
-                var = np.zeros(store.dim)
-            else:
-                var = rows.var(axis=0, ddof=1)
+            var = rows.var(axis=0, ddof=1) if n > 1 else np.zeros(store.dim)
             cov = np.maximum(var, VAR_FLOOR)
         store.classes[k] = ClassGaussian(_lock(mu), _lock(cov), n)
 

@@ -189,38 +189,49 @@ def loss_sgakt(
     return T.kl_div_rows(teacher, student, eps)
 
 
-def teacher_result(
-    strategy: str,
-    backbone: VisualBackbone,
-    x,
-    pool: AdapterPool,
-    sem: list[T.Tensor] | None,
-    ys_local,
-    projectors: SemanticProjectors,
-    lam: float,
-) -> RelevanceResult | None:
-    """The strategy's teacher feature, or None when there is no teacher.
+def teacher_views(strategy: str, backbone: VisualBackbone, x,
+                  pool: AdapterPool) -> list[T.Tensor] | None:
+    """The frozen views the strategy's teacher blends, or None for no teacher.
 
-    Every strategy flows through the same aggregation path; they differ
-    only in which views enter and whether the scores are learned. That
-    makes avg_kd literally the zero-score special case of sg_akt, and
-    vanilla/clip_kd the single-view special cases.
+    Each view maps x row by row, so a caller may compute the views of many
+    rows once and take a batch's rows of them.
     """
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown distillation strategy {strategy!r}")
     if strategy == "seq":
         return None
     if strategy in POOL_STRATEGIES:
-        views = pooled_views(backbone, x, pool)
-    elif strategy == "clip_kd":
-        views = [backbone.forward(x, None)]
-    elif len(pool) == 0:  # vanilla before any task has finished
+        return pooled_views(backbone, x, pool)
+    if strategy == "clip_kd":
+        return [backbone.forward(x, None)]
+    if len(pool) == 0:  # vanilla before any task has finished
         return None
-    else:
-        views = [backbone.forward(x, pool.stacks[-1])]
+    return [backbone.forward(x, pool.stacks[-1])]
+
+
+def teacher_blend(strategy: str, views: list[T.Tensor], sem, ys_local,
+                  projectors: SemanticProjectors, lam: float) -> RelevanceResult:
+    """The teacher feature from its views: learned scores for sg_akt only.
+
+    Every strategy flows through the same aggregation path; they differ
+    only in which views enter and whether the scores are learned. That
+    makes avg_kd literally the zero-score special case of sg_akt, and
+    vanilla/clip_kd the single-view special cases.
+    """
     if strategy == "sg_akt":
         alpha = relevance_scores(sem, views, ys_local, projectors)
     else:
         n = views[0].data.shape[0]
         alpha = T.Tensor(np.zeros((n, len(views)), dtype=views[0].data.dtype))
     return aggregate(views, alpha, lam)
+
+
+def teacher_result(strategy: str, backbone: VisualBackbone, x,
+                   pool: AdapterPool, sem: list[T.Tensor] | None, ys_local,
+                   projectors: SemanticProjectors,
+                   lam: float) -> RelevanceResult | None:
+    """The strategy's teacher feature for the rows x, or None for no teacher."""
+    views = teacher_views(strategy, backbone, x, pool)
+    if views is None:
+        return None
+    return teacher_blend(strategy, views, sem, ys_local, projectors, lam)

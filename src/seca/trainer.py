@@ -21,17 +21,18 @@ import numpy as np
 
 from . import seeding, tensor as T
 from .config import RunConfig, beta_value, config_dict, parse_config
-from .datastream import TaskData, TaskStream
+from .datastream import TaskData, TaskStream, _lock
 from .encoder import AdapterStack, PromptBank, TextEncoder, VisualBackbone, \
     clip_logits, text_features
 from .errors import ConfigError, DataFormatError, ProtocolError
-from .replay import ClassGaussian, ReplayStore, _lock, draw_pseudo_batch, \
+from .replay import ClassGaussian, ReplayStore, draw_pseudo_batch, \
     fit_gaussians, replay_losses
 from .sevpr import AffinityModel, LinearHead, PrototypeBank, \
     adapted_prototypes, affinity_matrix, classifier_variant, loss_reg, \
     raw_prototypes, refine_prototypes, snapshot_prototypes
 from .sgakt import POOL_STRATEGIES, AdapterPool, PoolEntry, \
-    SemanticProjectors, loss_agg, loss_sgakt, semantic_vectors, teacher_result
+    SemanticProjectors, loss_agg, loss_sgakt, semantic_vectors, teacher_blend, \
+    teacher_views
 
 CKPT_MAGIC = b"SECA-CKPT"
 CKPT_VERSION = 2
@@ -64,18 +65,28 @@ class Adam:
         for p in params:
             if not p.trainable:
                 continue
-            slot = self.slots.setdefault(p.name, {
-                "m": np.zeros_like(p.data),
-                "v": np.zeros_like(p.data),
-                "t": 0,
-            })
+            slot = self.slots.get(p.name)
+            if slot is None:
+                slot = self.slots[p.name] = {"m": np.zeros_like(p.data),
+                                             "v": np.zeros_like(p.data), "t": 0}
             slot["t"] += 1
-            g = p.grad
-            slot["m"] = self.beta1 * slot["m"] + (1.0 - self.beta1) * g
-            slot["v"] = self.beta2 * slot["v"] + (1.0 - self.beta2) * g * g
-            m_hat = slot["m"] / (1.0 - self.beta1 ** slot["t"])
-            v_hat = slot["v"] / (1.0 - self.beta2 ** slot["t"])
-            p.data[...] = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            t, g, m, v = slot["t"], p.grad, slot["m"], slot["v"]
+            # in place, in the order of b1*m + (1-b1)*g, b2*v + ((1-b2)*g)*g
+            # and p - lr*m_hat / (sqrt(v_hat) + eps), so the bits stay
+            tmp = np.multiply(g, 1.0 - self.beta1)
+            m *= self.beta1
+            m += tmp
+            np.multiply(g, 1.0 - self.beta2, out=tmp)
+            tmp *= g
+            v *= self.beta2
+            v += tmp
+            np.divide(v, 1.0 - self.beta2 ** t, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            upd = np.divide(m, 1.0 - self.beta1 ** t)
+            upd *= self.lr
+            upd /= tmp
+            p.data -= upd
 
 
 @dataclass
@@ -138,20 +149,10 @@ def _trainables(state: TrainState) -> list[T.Parameter]:
     return params
 
 
-def _train_support(state: TrainState) -> list[int]:
-    if state.cfg.replay:
-        return state.seen_ids()
-    return list(state.seen[-1])
-
-
-def _refined(state: TrainState, prompt, ids) -> T.Tensor:
+def _refined(state: TrainState, prompt, ids, raw) -> T.Tensor:
     z = text_features(state.text_enc, state.prompts, ids, prompt)
     m = affinity_matrix(z, state.affinity.h_proj, state.cfg.affinity_gamma)
-    return refine_prototypes(m, state.protos.raw_matrix(ids))
-
-
-def _rows(ids: list[int], keys) -> np.ndarray:
-    return np.array([ids.index(int(k)) for k in keys], dtype=np.int64)
+    return refine_prototypes(m, raw)
 
 
 def _visual(state: TrainState, f, class_ids, tau: float, refined):
@@ -160,63 +161,95 @@ def _visual(state: TrainState, f, class_ids, tau: float, refined):
                               refined=refined, head=state.head)
 
 
-def batch_loss(state: TrainState, x, ys_global) -> tuple[T.Tensor, np.ndarray | None]:
-    """Composite loss of one batch plus the mean raw relevance scores.
+class TaskContext:
+    """What stays fixed while one task trains, built once per task.
+
+    The backbone, the pool, the past prompts, the support set and the rows
+    do not change within a task. So the teacher views of every row, the
+    past prompts' semantic blocks, the prototype matrices and the index
+    maps are built here, and each step takes its rows of them by index.
+    """
+
+    def __init__(self, state: TrainState, task: TaskData):
+        cfg, s = state.cfg, state.task
+        self.state, self.x = state, task.train_x
+        self.seen = state.seen_ids()
+        self.support = self.seen if cfg.replay else list(state.seen[-1])
+        self.pos = {k: i for i, k in enumerate(self.support)}
+        self.ys_local = np.array([self.pos[int(y)] for y in task.train_y],
+                                 dtype=np.int64)
+        self.past = [k for ids in state.seen[:-1] for k in ids]
+        if cfg.classifier == "se_vpr":
+            row = {k: i for i, k in enumerate(self.seen)}
+            self.raw = state.protos.raw_matrix(self.seen)
+            self.sup_rows = np.array([row[k] for k in self.support], np.int64)
+            self.past_rows = np.array([row[k] for k in self.past], np.int64)
+            self.snapshot = state.protos.snapshot_matrix(self.past) \
+                if s > 1 else None
+        views = self.sem = None
+        if s > 1:
+            with T.no_grad():
+                views = teacher_views(cfg.distill, state.backbone, self.x,
+                                      state.pool)
+                if cfg.distill == "sg_akt":
+                    self.sem = semantic_vectors(state.text_enc, state.prompts,
+                                                self.support, s - 1)
+        self.views = None if views is None else [v.data for v in views]
+
+
+def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray | None]:
+    """Composite loss of the training rows idx plus the mean raw relevance.
 
     The score vector is None for strategies whose teacher does not span
     the pool; the caller then applies a pure-decay utility update.
     """
+    state = ctx.state
     cfg = state.cfg
     s = state.task
-    support = _train_support(state)
-    pos = {int(k): i for i, k in enumerate(support)}
-    ys_local = np.array([pos[int(y)] for y in ys_global], dtype=np.int64)
+    support = ctx.support
+    ys_local = ctx.ys_local[idx]
     prompt = state.prompts.prompts[s]
 
-    f_v = state.backbone.forward(x, state.adapter)
+    f_v = state.backbone.forward(ctx.x[idx], state.adapter)
     text_sup = text_features(state.text_enc, state.prompts, support, prompt)
     probs_t = T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0)
     loss = T.cross_entropy_rows(probs_t, ys_local)
 
     refined_all = refined_sup = None
     if cfg.classifier == "se_vpr":
-        seen = state.seen_ids()
-        refined_all = _refined(state, prompt, seen)
-        refined_sup = T.take_rows(refined_all, _rows(seen, support))
+        refined_all = _refined(state, prompt, ctx.seen, ctx.raw)
+        refined_sup = T.take_rows(refined_all, ctx.sup_rows)
     vis = _visual(state, f_v, support, cfg.tau, refined_sup)
     if vis is not None:
         loss = T.add(loss, T.cross_entropy_rows(vis, ys_local))
     if refined_all is not None and s > 1:
-        old = [k for ids in state.seen[:-1] for k in ids]
-        loss = T.add(loss, loss_reg(T.take_rows(refined_all, _rows(seen, old)),
-                                    state.protos.snapshot_matrix(old)))
+        loss = T.add(loss, loss_reg(T.take_rows(refined_all, ctx.past_rows),
+                                    ctx.snapshot))
 
     alpha_bar = None
-    if s > 1:
-        sem = None
-        if cfg.distill == "sg_akt":
-            sem = semantic_vectors(state.text_enc, state.prompts, support, s)
-        res = teacher_result(cfg.distill, state.backbone, x, state.pool, sem,
-                             ys_local, state.projectors, cfg.agg_lambda)
-        if res is not None:
-            loss = T.add(loss, loss_agg(res.v_agg, text_sup, ys_local, cfg.tau))
-            kl = loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime,
-                            cfg.kl_epsilon)
-            loss = T.add(loss, T.mul(kl, beta_value(cfg, s)))
-            if cfg.distill in POOL_STRATEGIES:
-                alpha_bar = res.alpha.data.mean(axis=0)
+    if ctx.views is not None:
+        # the active prompt's block is a node of its own, apart from
+        # text_sup, so that the prompt's gradient adds up in one order
+        sem = None if ctx.sem is None else ctx.sem + [text_features(
+            state.text_enc, state.prompts, support, prompt)]
+        res = teacher_blend(cfg.distill, [T.Tensor(v[idx]) for v in ctx.views],
+                            sem, ys_local, state.projectors, cfg.agg_lambda)
+        loss = T.add(loss, loss_agg(res.v_agg, text_sup, ys_local, cfg.tau))
+        kl = loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime, cfg.kl_epsilon)
+        loss = T.add(loss, T.mul(kl, beta_value(cfg, s)))
+        if cfg.distill in POOL_STRATEGIES:
+            alpha_bar = res.alpha.data.mean(axis=0)
 
     if cfg.replay and s > 1:
         # replay trains on every seen class, so support == seen here
-        past = [k for ids in state.seen[:-1] for k in ids]
         seed_b = _replay_seed(cfg.seed, state.replay_counter)
         state.replay_counter += 1
-        pseudo = draw_pseudo_batch(state.store, past, cfg.batch_size, seed_b)
+        pseudo = draw_pseudo_batch(state.store, ctx.past, cfg.batch_size, seed_b)
         lt, _ = replay_losses(pseudo, text_sup, None, support, cfg.tau)
         loss = T.add(loss, lt)
         vis = _visual(state, T.Tensor(pseudo.x), support, cfg.tau, refined_all)
         if vis is not None:
-            p_local = np.array([pos[int(k)] for k in pseudo.y], dtype=np.int64)
+            p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
             loss = T.add(loss, T.cross_entropy_rows(vis, p_local))
 
     return loss, alpha_bar
@@ -241,16 +274,15 @@ def train_task(state: TrainState, task: TaskData) -> None:
     if state.head is not None:
         state.head.add_task(s, new_ids)
 
+    ctx = TaskContext(state, task)
     params = _trainables(state)
     n = task.train_x.shape[0]
     for epoch in range(cfg.epochs_per_task):
         order = seeding.rng(cfg.seed, "order", s, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
             for p in params:
                 p.zero_grad()
-            loss, alpha_bar = batch_loss(state, task.train_x[idx],
-                                         task.train_y[idx])
+            loss, alpha_bar = batch_loss(ctx, order[start:start + cfg.batch_size])
             loss.backward()
             state.optimizer.step(params)
             if len(state.pool) > 0:
@@ -261,10 +293,10 @@ def train_task(state: TrainState, task: TaskData) -> None:
     # boundary bookkeeping; order matters for the snapshot semantics
     state.prompts.freeze_task(s)
     if cfg.classifier == "se_vpr":
-        seen = state.seen_ids()
         with T.no_grad():
-            refined = _refined(state, state.prompts.prompts[s], seen)
-        state.protos.set_refined(seen, refined.data)
+            refined = _refined(state, state.prompts.prompts[s], ctx.seen,
+                               ctx.raw)
+        state.protos.set_refined(ctx.seen, refined.data)
         snapshot_prototypes(state.protos)
     state.pool.admit_and_prune(state.adapter)
     if cfg.replay:
@@ -274,36 +306,47 @@ def train_task(state: TrainState, task: TaskData) -> None:
                       full_cov=cfg.replay_full_cov)
 
 
-def predict_scores(state: TrainState, x) -> np.ndarray:
-    """Hybrid score rows over the ascending list of seen class ids."""
+def _scorer(state: TrainState):
+    """The ascending seen ids and a function giving hybrid score rows; the
+    per-prompt text features and refined prototypes are built once here."""
     if state.task < 1:
         raise ProtocolError("no trained task to predict with")
     cfg = state.cfg
     ids = sorted(state.seen_ids())
     with T.no_grad():
-        f = state.backbone.forward(x, state.adapter)
-        total = None
-        for feats in semantic_vectors(state.text_enc, state.prompts, ids,
-                                      state.task):
-            p = T.softmax_temp(clip_logits(f, feats, cfg.tau_prime), 1.0)
-            total = p if total is None else T.add(total, p)
-        score = total.data * (1.0 / state.task)
+        feats = semantic_vectors(state.text_enc, state.prompts, ids, state.task)
         refined = None
         if cfg.classifier == "se_vpr":
-            refined = _refined(state, state.prompts.prompts[state.task], ids)
-        vis = _visual(state, f, ids, cfg.tau_prime, refined)
-        if vis is not None:
-            score = score + vis.data
-    return score
+            refined = _refined(state, state.prompts.prompts[state.task], ids,
+                               state.protos.raw_matrix(ids))
+
+    def scores(x) -> np.ndarray:
+        with T.no_grad():
+            f = state.backbone.forward(x, state.adapter)
+            total = None
+            for z in feats:
+                p = T.softmax_temp(clip_logits(f, z, cfg.tau_prime), 1.0)
+                total = p if total is None else T.add(total, p)
+            score = total.data * (1.0 / state.task)
+            vis = _visual(state, f, ids, cfg.tau_prime, refined)
+            if vis is not None:
+                score = score + vis.data
+        return score
+
+    return ids, scores
+
+
+def predict_scores(state: TrainState, x) -> np.ndarray:
+    """Hybrid score rows over the ascending list of seen class ids."""
+    return _scorer(state)[1](x)
 
 
 def predict(state: TrainState, x) -> np.ndarray:
     """Predicted global class ids; ties fall to the lowest id."""
-    ids = np.array(sorted(state.seen_ids()), dtype=np.int64)
-    out = []
-    for start in range(0, x.shape[0], EVAL_BATCH):
-        scores = predict_scores(state, x[start:start + EVAL_BATCH])
-        out.append(ids[np.argmax(scores, axis=1)])
+    ids, scores = _scorer(state)
+    ids = np.array(ids, dtype=np.int64)
+    out = [ids[np.argmax(scores(x[start:start + EVAL_BATCH]), axis=1)]
+           for start in range(0, x.shape[0], EVAL_BATCH)]
     return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
 
 

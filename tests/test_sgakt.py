@@ -14,6 +14,7 @@ from seca.encoder import (
 )
 from seca.errors import ConfigError, ProtocolError
 from seca.sgakt import (
+    STRATEGIES,
     AdapterPool,
     SemanticProjectors,
     aggregate,
@@ -22,7 +23,9 @@ from seca.sgakt import (
     pooled_views,
     relevance_scores,
     semantic_vectors,
+    teacher_blend,
     teacher_result,
+    teacher_views,
 )
 
 CFG = EncoderConfig(d_v=12, d_t=12, layers=2, adapter_width=4,
@@ -500,3 +503,53 @@ class TestDistillVariants:
         with pytest.raises(ConfigError):
             distill_loss("distill-all",
                          projectors=zero_projectors(), **kw)
+
+
+class TestTeacherViews:
+    """Views of all rows, taken by index, equal the views of a batch."""
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_rows_by_index_match_per_batch_teacher(self, strategy):
+        # the default encoder width and float32 rows, as training uses
+        enc = EncoderConfig(seed=3)
+        backbone = VisualBackbone(enc)
+        text_enc = TextEncoder(enc)
+        bank = PromptBank(enc, class_ids=list(range(4)), registry_seed=3)
+        for task in (1, 2):
+            bank.new_prompt(task, seed=3)
+        bank.freeze_task(1)
+        pool = AdapterPool(max_size=5)
+        for k in (1, 2, 3):
+            stack = AdapterStack(enc, seed=k)
+            for p in stack.parameters():
+                p.data += 0.1 * np.random.default_rng(k).standard_normal(
+                    p.data.shape)
+            pool.admit_and_prune(stack)
+        projectors = SemanticProjectors.create(enc, seed=4)
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((130, enc.d_v)).astype(np.float32)
+        ys = rng.integers(0, 2, 130)
+        sem = semantic_vectors(text_enc, bank, [2, 3], upto_task=2)
+        with T.no_grad():
+            views = teacher_views(strategy, backbone, x, pool)
+        if strategy == "seq":
+            assert views is None
+            return
+        assert len(views) == (3 if strategy in ("avg_kd", "sg_akt") else 1)
+        for n in range(2, 65):
+            idx = rng.permutation(130)[:n]
+            want = teacher_result(strategy, backbone, x[idx], pool, sem,
+                                  ys[idx], projectors, 1.0)
+            got = teacher_blend(strategy, [T.Tensor(v.data[idx]) for v in views],
+                                sem, ys[idx], projectors, 1.0)
+            for a, b in zip(want.views, got.views):
+                assert a.data.tobytes() == b.data.tobytes(), n
+            assert want.alpha.data.tobytes() == got.alpha.data.tobytes(), n
+            assert want.v_agg.data.tobytes() == got.v_agg.data.tobytes(), n
+
+    def test_no_teacher_cases(self, world):
+        backbone, _, _, pool, x = world
+        assert teacher_views("seq", backbone, x, pool) is None
+        assert teacher_views("vanilla", backbone, x, AdapterPool()) is None
+        with pytest.raises(ConfigError):
+            teacher_views("distill-all", backbone, x, pool)

@@ -22,11 +22,14 @@ from seca.datastream import SyntheticSpec, gen_synthetic
 from seca.encoder import EncoderConfig, clip_logits, text_features
 from seca.errors import DataFormatError, ProtocolError
 from seca.replay import draw_pseudo_batch, replay_losses, sample
-from seca.sevpr import affinity_matrix, loss_ce_v, loss_reg, refine_prototypes
-from seca.sgakt import loss_agg, loss_sgakt, semantic_vectors, teacher_result
-from seca.trainer import Adam, Metrics, _decode, _encode, _replay_seed, \
-    accuracy, load_checkpoint, predict, predict_scores, run_stream, \
-    save_checkpoint, state_for_stream, train_task, write_metrics
+from seca.sevpr import affinity_matrix, loss_ce_v, loss_reg, \
+    refine_prototypes, visual_prob
+from seca.sgakt import STRATEGIES, loss_agg, loss_sgakt, semantic_vectors, \
+    teacher_result
+from seca.trainer import Adam, Metrics, TaskContext, _decode, _encode, \
+    _replay_seed, _trainables, accuracy, batch_loss, load_checkpoint, \
+    predict, predict_scores, run_stream, save_checkpoint, state_for_stream, \
+    train_task, write_metrics
 
 ENC = EncoderConfig(d_v=16, d_t=16, layers=2, adapter_width=4, seed=1)
 SPEC3 = SyntheticSpec(num_tasks=3, classes_per_task=2, dim=16, superclasses=3,
@@ -166,6 +169,11 @@ def mirror_loss(state, x, ys_global, with_kl=True):
     return loss
 
 
+def first_rows_loss(state, task, rows=8):
+    """batch_loss over the task's first rows, through a fresh task context."""
+    return batch_loss(TaskContext(state, task), np.arange(rows))
+
+
 def head_ce(head, f, support, ys_local):
     """Cross entropy of the linear head's logits over the support columns."""
     cols = np.array([head.class_ids.index(int(k)) for k in support],
@@ -193,6 +201,40 @@ class TestAdam:
                 / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
         assert np.allclose(p.data, ref, rtol=1e-12, atol=0)
         assert opt.slots["w"]["t"] == 5
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_in_place_step_keeps_the_bits(self, dtype):
+        # the moments and the parameter are updated in place; the bits
+        # must equal the out-of-place formula's, step after step
+        rng = np.random.default_rng(8)
+        p = T.Parameter(rng.standard_normal((3, 5)).astype(dtype), name="w")
+        opt = Adam(lr=0.01)
+        ref = p.data.copy()
+        m = np.zeros_like(ref)
+        v = np.zeros_like(ref)
+        for t in range(1, 7):
+            g = rng.standard_normal((3, 5)).astype(dtype)
+            p.zero_grad()
+            p.grad[...] = g
+            opt.step([p])
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            ref = ref - 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            slot = opt.slots["w"]
+            assert slot["m"].tobytes() == m.tobytes()
+            assert slot["v"].tobytes() == v.tobytes()
+            assert p.data.dtype == dtype and p.data.tobytes() == ref.tobytes()
+
+    def test_restored_moments_are_owned_and_writable(self, tmp_path):
+        state, _ = run_tasks(make_cfg(), upto=1)
+        save_checkpoint(tmp_path / "a.ckpt", state)
+        loaded = load_checkpoint(tmp_path / "a.ckpt")
+        assert set(loaded.optimizer.slots) == set(state.optimizer.slots)
+        for slot in loaded.optimizer.slots.values():
+            for key in ("m", "v"):
+                assert slot[key].flags.owndata and slot[key].flags.writeable
 
     def test_new_param_starts_from_zero_moments(self):
         g = np.full(3, 0.7)
@@ -241,37 +283,32 @@ class TestAdam:
 
 class TestBatchLoss:
     def test_task1_composition(self):
-        from seca.trainer import batch_loss
         state, stream = run_tasks(make_cfg(), upto=1)
         x = stream.tasks[0].train_x[:8]
         y = stream.tasks[0].train_y[:8]
-        loss, alpha_bar = batch_loss(state, x, y)
+        loss, alpha_bar = first_rows_loss(state, stream.tasks[0])
         assert alpha_bar is None
         assert np.array_equal(loss.data, mirror_loss(state, x, y).data)
 
     def test_task1_projector_gradients_are_zero(self):
-        from seca.trainer import batch_loss
         state, stream = run_tasks(make_cfg(), upto=1)
         for p in (state.projectors.w_s, state.projectors.w_v):
             p.zero_grad()
-        loss, _ = batch_loss(state, stream.tasks[0].train_x[:8],
-                             stream.tasks[0].train_y[:8])
+        loss, _ = first_rows_loss(state, stream.tasks[0])
         loss.backward()
         assert np.all(state.projectors.w_s.grad == 0.0)
         assert np.all(state.projectors.w_v.grad == 0.0)
 
     def test_task3_composition_sum(self):
-        from seca.trainer import batch_loss
         state, stream = run_tasks(make_cfg(), upto=2)
         open_task(state, stream.tasks[2])
         x = stream.tasks[2].train_x[:8]
         y = stream.tasks[2].train_y[:8]
-        loss, alpha_bar = batch_loss(state, x, y)
+        loss, alpha_bar = first_rows_loss(state, stream.tasks[2])
         assert alpha_bar is not None and alpha_bar.shape == (2,)
         assert np.array_equal(loss.data, mirror_loss(state, x, y).data)
 
     def test_beta_zero_drops_kl_gradients(self):
-        from seca.trainer import batch_loss, _trainables
         state, stream = run_tasks(make_cfg(beta=0.0), upto=2)
         open_task(state, stream.tasks[2])
         x = stream.tasks[2].train_x[:8]
@@ -280,7 +317,7 @@ class TestBatchLoss:
 
         for p in params:
             p.zero_grad()
-        loss, _ = batch_loss(state, x, y)
+        loss, _ = first_rows_loss(state, stream.tasks[2])
         loss.backward()
         with_term = {p.name: p.grad.copy() for p in params}
 
@@ -291,11 +328,10 @@ class TestBatchLoss:
             assert np.array_equal(with_term[p.name], p.grad), p.name
 
     def test_only_text_is_text_ce_alone(self):
-        from seca.trainer import batch_loss
         state, stream = run_tasks(make_cfg(classifier="only_text"), upto=1)
         x = stream.tasks[0].train_x[:8]
         y = stream.tasks[0].train_y[:8]
-        loss, _ = batch_loss(state, x, y)
+        loss, _ = first_rows_loss(state, stream.tasks[0])
         support = [int(k) for k in state.seen[-1]]
         pos = {k: i for i, k in enumerate(support)}
         ys_local = np.array([pos[int(v)] for v in y], dtype=np.int64)
@@ -308,13 +344,12 @@ class TestBatchLoss:
         assert np.array_equal(loss.data, ce.data)
 
     def test_replay_terms_and_counter(self):
-        from seca.trainer import batch_loss
         state, stream = run_tasks(make_cfg(replay=True), upto=2)
         x = stream.tasks[1].train_x[:8]
         y = stream.tasks[1].train_y[:8]
         c0 = state.replay_counter
         mirrored = mirror_loss(state, x, y)  # consumes counter value c0
-        loss, _ = batch_loss(state, x, y)
+        loss, _ = first_rows_loss(state, stream.tasks[1])
         assert state.replay_counter == c0 + 1
         assert np.array_equal(loss.data, mirrored.data)
 
@@ -323,7 +358,6 @@ class TestBatchLoss:
                                             "centroid_adapted", "linear",
                                             "se_vpr"])
     def test_variant_composition(self, classifier, replay):
-        from seca.trainer import batch_loss, _trainables
         state, stream = run_tasks(
             make_cfg(classifier=classifier, replay=replay), upto=2)
         open_task(state, stream.tasks[2])
@@ -339,8 +373,34 @@ class TestBatchLoss:
 
         for p in params:
             p.zero_grad()
-        loss, _ = batch_loss(state, x, y)
+        loss, _ = first_rows_loss(state, stream.tasks[2])
         loss.backward()
+        assert np.array_equal(loss.data, mirrored.data)
+        for p in params:
+            assert np.array_equal(want[p.name], p.grad), p.name
+
+    @pytest.mark.parametrize("distill", STRATEGIES)
+    def test_strategy_composition_on_scattered_rows(self, distill):
+        # task 3 with two pool entries; the rows are out of order, so the
+        # context's views, labels and semantic blocks are taken by index
+        state, stream = run_tasks(make_cfg(distill=distill), upto=2)
+        task = stream.tasks[2]
+        open_task(state, task)
+        idx = np.array([13, 2, 7, 11, 0, 5, 9])
+        params = _trainables(state)
+
+        for p in params:
+            p.zero_grad()
+        mirrored = mirror_loss(state, task.train_x[idx], task.train_y[idx])
+        mirrored.backward()
+        want = {p.name: p.grad.copy() for p in params}
+
+        for p in params:
+            p.zero_grad()
+        loss, alpha_bar = batch_loss(TaskContext(state, task), idx)
+        loss.backward()
+        assert len(state.pool) == 2
+        assert (alpha_bar is not None) == (distill in ("avg_kd", "sg_akt"))
         assert np.array_equal(loss.data, mirrored.data)
         for p in params:
             assert np.array_equal(want[p.name], p.grad), p.name
@@ -404,6 +464,39 @@ class TestRouting:
         assert np.array_equal(state.prompts.prompts[1].data, prompt1)
         for k, arr in raw1.items():
             assert np.array_equal(state.protos.raw[k], arr)
+
+
+class TestTaskContext:
+    def test_frozen_work_runs_once_per_task(self, monkeypatch):
+        import seca.sgakt as G
+        import seca.trainer as TR
+        state, stream = run_tasks(make_cfg(epochs_per_task=2), upto=2)
+        steps, pooled, text_calls = [0], [], []
+
+        def wrap(fn, log, key):
+            def inner(*args):
+                log.append(key(args))
+                return fn(*args)
+            return inner
+
+        monkeypatch.setattr(TR, "batch_loss", wrap(
+            TR.batch_loss, [], lambda a: steps.__setitem__(0, steps[0] + 1)))
+        monkeypatch.setattr(G, "pooled_views", wrap(
+            G.pooled_views, pooled, lambda a: (steps[0], a[1].shape[0])))
+        for mod in (G, TR):
+            monkeypatch.setattr(mod, "text_features", wrap(
+                mod.text_features, text_calls, lambda a: (steps[0], a[3].name)))
+        train_task(state, stream.tasks[2])
+
+        # 16 rows, batch 8, 2 epochs: 4 steps; one pool pass over all rows
+        assert steps[0] == 4
+        assert pooled == [(0, 16)]
+        past = [c for c in text_calls if c[1] != "prompt.3"]
+        assert sorted(past) == [(0, "prompt.1"), (0, "prompt.2")]
+        # per step: text_sup, the refinement and the active semantic block;
+        # then the boundary refinement
+        active = [c[0] for c in text_calls if c[1] == "prompt.3"]
+        assert active == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4]
 
 
 class TestTrainTask:
@@ -546,6 +639,47 @@ class TestPredict:
             state.protos.refined_current[k] = np.full(16, -1e6)
             state.protos.refined_snapshot[k] = np.full(16, -1e6)
         assert np.array_equal(predict_scores(state, x), before)
+
+
+    @pytest.mark.parametrize("classifier", ["se_vpr", "only_text",
+                                            "centroid_clip"])
+    def test_scores_match_per_batch_mirror(self, classifier):
+        state, stream = run_tasks(make_cfg(classifier=classifier))
+        base = np.concatenate([t.test_x for t in stream.tasks])
+        x = np.tile(base, (25, 1))  # 600 rows: batches of 256, 256, 88
+        parts = [predict_scores(state, x[i:i + 256])
+                 for i in range(0, x.shape[0], 256)]
+        for i, part in enumerate(parts):
+            want = mirror_scores(state, x[256 * i:256 * (i + 1)])
+            assert part.tobytes() == want.tobytes()
+        ids = np.array(sorted(state.seen_ids()))
+        assert np.array_equal(predict(state, x),
+                              ids[np.argmax(np.concatenate(parts), axis=1)])
+
+
+def mirror_scores(state, x):
+    """Hybrid scores with every text feature recomputed for this batch."""
+    cfg = state.cfg
+    ids = sorted(state.seen_ids())
+    with T.no_grad():
+        f = state.backbone.forward(x, state.adapter)
+        total = None
+        for t in range(1, state.task + 1):
+            z = text_features(state.text_enc, state.prompts, ids,
+                              state.prompts.prompts[t])
+            p = T.softmax_temp(clip_logits(f, z, cfg.tau_prime), 1.0)
+            total = p if total is None else T.add(total, p)
+        score = total.data * (1.0 / state.task)
+        if cfg.classifier == "se_vpr":
+            z = text_features(state.text_enc, state.prompts, ids,
+                              state.prompts.prompts[state.task])
+            m = affinity_matrix(z, state.affinity.h_proj, cfg.affinity_gamma)
+            protos = refine_prototypes(m, state.protos.raw_matrix(ids))
+        elif cfg.classifier == "centroid_clip":
+            protos = state.protos.raw_matrix(ids)
+        else:
+            return score
+        return score + visual_prob(f, protos, cfg.tau_prime).data
 
 
 class TestMetrics:
