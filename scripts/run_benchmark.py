@@ -5,7 +5,7 @@ Runs `seca ablate-distill` at the default desk-scale stream (10 tasks,
 5 classes each, 64-d features): every distillation strategy with and
 without prototype refinement, three paired trials per variant. Trial i
 shifts the model seed and the data seed together, so all variants inside
-a trial see identical task streams. SECA_THREADS caps the worker count.
+a trial see identical task streams.
 
 Prints two blocks of mean/std Last and Avg accuracy, then the headline
 margins the acceptance suite checks. Use --json to dump the raw rows.

@@ -4,7 +4,8 @@ Every command writes a manifest.json next to its outputs with the fully
 resolved configuration, the seed, and the on-disk format versions, so any
 result directory can be re-run exactly. Ablations run each variant over
 the same three (data seed, init seed) pairs; the table rows are means
-over those paired trials.
+over those paired trials. Leaves run one after another, in variant then
+trial order, so the first failing leaf stops the command.
 
 Exit codes: 0 success, 1 internal failure or failed check table, 2 invalid
 configuration or protocol misuse, 3 unreadable or malformed input files,
@@ -15,9 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -59,20 +58,6 @@ def _write_manifest(out_dir, command: str, cfg: RunConfig | None,
     _write_json(Path(out_dir) / "manifest.json", doc)
 
 
-def _workers(njobs: int) -> int:
-    cap = os.environ.get("SECA_THREADS")
-    if cap is None:
-        limit = os.cpu_count() or 1
-    else:
-        try:
-            limit = int(cap)
-        except ValueError:
-            raise ConfigError(f"SECA_THREADS: not an integer: {cap!r}") from None
-        if limit < 1:
-            raise ConfigError("SECA_THREADS: must be at least 1")
-    return max(1, min(limit, njobs))
-
-
 def _load_base_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if getattr(args, "seed", None) is not None:
@@ -109,30 +94,18 @@ def _run_matrix(base: RunConfig, variants, out_dir, command: str) -> list[dict]:
     """
     out_dir = Path(out_dir)
     trials = _paired_trials(base)
-    jobs = []
-    for name, overrides in variants:
-        for i, trial in enumerate(trials):
-            cfg = replace(trial, **overrides)
-            jobs.append((name, i, cfg, out_dir / "runs" / name / str(i)))
-
-    with ThreadPoolExecutor(max_workers=_workers(len(jobs))) as pool:
-        futs = [pool.submit(_run_leaf, cfg, leaf) for _, _, cfg, leaf in jobs]
-        results = [f.result() for f in futs]
-
-    by_variant: dict[str, list] = {name: [] for name, _ in variants}
-    for (name, _, cfg, _), metrics in zip(jobs, results):
-        by_variant[name].append((cfg.seed, metrics))
     rows = []
-    for name, _ in variants:
-        seeds = [s for s, _ in by_variant[name]]
-        runs = [m for _, m in by_variant[name]]
+    for name, overrides in variants:
+        cfgs = [replace(trial, **overrides) for trial in trials]
+        runs = [_run_leaf(cfg, out_dir / "runs" / name / str(i))
+                for i, cfg in enumerate(cfgs)]
         per_task = np.mean([m.per_task for m in runs], axis=0)
         rows.append({
             "variant": name,
             "last": float(np.mean([m.last for m in runs])),
             "avg": float(np.mean([m.avg for m in runs])),
             "per_task": [float(a) for a in per_task],
-            "seeds": seeds,
+            "seeds": [cfg.seed for cfg in cfgs],
         })
     _write_json(out_dir / "rows.json", {"rows": rows})
     _write_manifest(out_dir, command, base, base.seed,
@@ -184,49 +157,40 @@ def cmd_ablate_classifier(args) -> int:
     return 0
 
 
-def _sweep_variants(param: str, tokens: list[str]) -> list[tuple[str, dict]]:
+# sweep parameter -> (config field, value parser, tokens taken as they are)
+_SWEEPS = {
+    "beta": ("beta", float,
+             {BETA_TASK_INDEX: BETA_TASK_INDEX, "dynamic": BETA_TASK_INDEX}),
+    "tau_prime": ("tau_prime", float, {}),
+    "pool": ("pool_max", int, {"ALL": None}),
+    "width": ("adapter_width", int, {}),
+}
+
+
+def _sweep_variants(param: str, tokens: list[str],
+                    cfg: RunConfig) -> list[tuple[str, dict]]:
+    field, parse, special = _SWEEPS[param]
     variants = []
     for tok in tokens:
-        name = f"{param}={tok}"
-        if param == "beta":
-            if tok in (BETA_TASK_INDEX, "dynamic"):
-                variants.append((name, {"beta": BETA_TASK_INDEX}))
-                continue
+        if tok in special:
+            value = special[tok]
+        else:
             try:
-                variants.append((name, {"beta": float(tok)}))
+                value = parse(tok)
             except ValueError:
-                raise ConfigError(f"sweep: bad beta value {tok!r}") from None
-        elif param == "tau_prime":
-            try:
-                variants.append((name, {"tau_prime": float(tok)}))
-            except ValueError:
-                raise ConfigError(f"sweep: bad tau_prime value {tok!r}") from None
-        elif param == "pool":
-            if tok == "ALL":
-                variants.append((name, {"pool_max": None}))
-                continue
-            try:
-                variants.append((name, {"pool_max": int(tok)}))
-            except ValueError:
-                raise ConfigError(f"sweep: bad pool value {tok!r}") from None
-        else:  # width; argparse restricts the choices
-            try:
-                variants.append((name, {"_width": int(tok)}))
-            except ValueError:
-                raise ConfigError(f"sweep: bad width value {tok!r}") from None
+                raise ConfigError(f"sweep: bad {param} value {tok!r}") from None
+        if field == "adapter_width":
+            overrides = {"encoder": replace(cfg.encoder, adapter_width=value)}
+        else:
+            overrides = {field: value}
+        variants.append((f"{param}={tok}", overrides))
     return variants
 
 
 def cmd_sweep(args) -> int:
     cfg = _load_base_config(args)
-    variants = _sweep_variants(args.param, args.values)
-    if args.param == "width":
-        resolved = []
-        for name, ov in variants:
-            enc = replace(cfg.encoder, adapter_width=ov["_width"])
-            resolved.append((name, {"encoder": enc}))
-        variants = resolved
-    _run_matrix(cfg, variants, args.out, "sweep")
+    _run_matrix(cfg, _sweep_variants(args.param, args.values, cfg),
+                args.out, "sweep")
     return 0
 
 
@@ -397,8 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
 
     p = add("sweep", cmd_sweep, help="one hyperparameter over a value list")
-    p.add_argument("--param", required=True,
-                   choices=("beta", "tau_prime", "pool", "width"))
+    p.add_argument("--param", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--values", required=True, nargs="+",
                    help="values; pool accepts ALL, beta accepts task-index")
     p.add_argument("--config")

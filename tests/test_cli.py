@@ -8,6 +8,7 @@ import pytest
 
 from seca import cli
 from seca.config import parse_config
+from seca.errors import NumericsError
 
 TINY = {
     "epochs_per_task": 1, "lr": 0.005, "batch_size": 8,
@@ -183,8 +184,7 @@ class TestAblations:
         assert (leaf / "summary.json").read_bytes() \
             == (solo / "summary.json").read_bytes()
 
-    def test_classifier_table(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SECA_THREADS", "2")
+    def test_classifier_table(self, cfg_path, tmp_path):
         out = tmp_path / "ab-cls"
         assert cli.main(["ablate-classifier", "--config", str(cfg_path),
                          "--out", str(out)]) == 0
@@ -193,10 +193,23 @@ class TestAblations:
             "only_text", "centroid_clip", "centroid_adapted", "linear",
             "se_vpr"]
 
-    def test_bad_thread_cap_exits_2(self, cfg_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("SECA_THREADS", "many")
+    def test_failing_leaf_stops_the_matrix(self, cfg_path, tmp_path,
+                                           monkeypatch):
+        run_stream = cli.run_stream
+        calls = []
+
+        def failing(cfg, stream):
+            calls.append(cfg.seed)
+            if len(calls) == 2:
+                raise NumericsError("non-finite value in the second leaf")
+            return run_stream(cfg, stream)
+
+        monkeypatch.setattr(cli, "run_stream", failing)
+        out = tmp_path / "ab-cls"
         assert cli.main(["ablate-classifier", "--config", str(cfg_path),
-                         "--out", str(tmp_path / "o")]) == 2
+                         "--out", str(out)]) == 4
+        assert len(calls) == 2
+        assert not (out / "rows.json").exists()
 
 
 class TestSweep:
@@ -244,10 +257,16 @@ class TestSweep:
         assert (out / "runs" / "pool=5" / "0" / "summary.json").read_bytes() \
             == (train_dir / "summary.json").read_bytes()
 
-    def test_bad_value_exits_2(self, cfg_path, tmp_path):
-        assert cli.main(["sweep", "--param", "pool", "--values", "some",
-                         "--config", str(cfg_path),
-                         "--out", str(tmp_path / "o")]) == 2
+    @pytest.mark.parametrize("param", ["beta", "tau_prime", "pool", "width"])
+    def test_bad_value_exits_2(self, cfg_path, tmp_path, capsys, param):
+        # a valid token first: every token is checked before any leaf trains
+        good = {"beta": "0.5", "tau_prime": "1", "pool": "ALL",
+                "width": "2"}[param]
+        out = tmp_path / "o"
+        assert cli.main(["sweep", "--param", param, "--values", good, "some",
+                         "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"sweep: bad {param} value 'some'" in capsys.readouterr().err
+        assert not (out / "runs").exists()
 
     def test_unknown_param_exits_2(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as e:
