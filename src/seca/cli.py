@@ -247,50 +247,49 @@ def cmd_theory_check(args) -> int:
     return 0 if all_pass else 1
 
 
+def _run_rows(d: Path) -> tuple[object, list[dict]]:
+    """The format versions and the table rows of one run directory."""
+    manifest = json.loads((d / "manifest.json").read_text())
+    versions = manifest.get("versions")
+    if (d / "rows.json").exists():
+        rows = json.loads((d / "rows.json").read_text())["rows"]
+    elif (d / "summary.json").exists():
+        summary = json.loads((d / "summary.json").read_text())
+        cfg = manifest.get("config") or {}
+        rows = [{"variant": f"{cfg.get('distill', '?')}+"
+                            f"{cfg.get('classifier', '?')}",
+                 "seeds": [manifest.get("seed")],
+                 **{k: summary[k] for k in ("last", "avg", "per_task")}}]
+    else:
+        raise DataFormatError("bad-manifest",
+                              f"{d}: no rows.json or summary.json")
+    return versions, [{**row, "variant": str(row["variant"]),
+                       "last": float(row["last"]), "avg": float(row["avg"]),
+                       "per_task": [float(a) for a in row["per_task"]]}
+                      for row in rows]
+
+
 def _report_inputs(dirs) -> list[dict]:
     """Collect rows from run directories, enforcing format compatibility."""
-    rows = []
-    versions = None
-    used = set()
-    for d in dirs:
-        d = Path(d)
-        mpath = d / "manifest.json"
+    rows, versions, used = [], None, set()
+    for d in map(Path, dirs):
         try:
-            manifest = json.loads(mpath.read_text())
-        except json.JSONDecodeError as e:
+            got, new = _run_rows(d)
+        except (ValueError, LookupError, TypeError, AttributeError) as e:
             raise DataFormatError("bad-manifest",
-                                  f"{mpath}: invalid JSON: {e}") from None
-        got = manifest.get("versions")
+                                  f"{d}: malformed run outputs: {e!r}") \
+                from None
         if versions is None:
             versions = got
         elif got != versions:
             raise DataFormatError(
                 "bad-manifest",
-                f"{mpath}: format versions {got} do not match {versions}")
-
-        if (d / "rows.json").exists():
-            new = json.loads((d / "rows.json").read_text())["rows"]
-        elif (d / "summary.json").exists():
-            summary = json.loads((d / "summary.json").read_text())
-            cfg = manifest.get("config") or {}
-            name = f"{cfg.get('distill', '?')}+{cfg.get('classifier', '?')}"
-            new = [{
-                "variant": name,
-                "last": summary["last"],
-                "avg": summary["avg"],
-                "per_task": summary["per_task"],
-                "seeds": [manifest.get("seed")],
-            }]
-        else:
-            raise DataFormatError("bad-manifest",
-                                  f"{d}: no rows.json or summary.json")
+                f"{d / 'manifest.json'}: format versions {got} do not match "
+                f"{versions}")
         for row in new:
-            name = row["variant"]
-            if name in used:
-                name = f"{name}@{d.name}"
-            n = 2
-            while name in used:
-                name = f"{row['variant']}@{d.name}#{n}"
+            name, n = row["variant"], 1
+            while name in used:  # v, then v@dir, v@dir#2, v@dir#3, ...
+                name = f"{row['variant']}@{d.name}" + (f"#{n}" if n > 1 else "")
                 n += 1
             used.add(name)
             rows.append({**row, "variant": name})
@@ -334,55 +333,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    # the options most commands share, by flag
+    shared = {"--config": {"help": "JSON config path (defaults otherwise)"},
+              "--out": {"required": True, "help": "output directory"},
+              "--seed": {"type": int, "help": "override the init seed"}}
+
+    def add(name, fn, help, *flags):
+        p = sub.add_parser(name, help=help)
         p.set_defaults(fn=fn)
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         return p
 
-    p = add("train", cmd_train, help="train a full task stream")
-    p.add_argument("--config", help="JSON config path (defaults otherwise)")
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the init seed")
-
-    p = add("eval", cmd_eval, help="evaluate a checkpoint on its stream")
+    run = ("--config", "--out", "--seed")
+    add("train", cmd_train, "train a full task stream", *run)
+    p = add("eval", cmd_eval, "evaluate a checkpoint on its stream", "--out")
     p.add_argument("--ckpt", required=True)
-    p.add_argument("--out", required=True)
-
-    p = add("ablate-distill", cmd_ablate_distill,
-            help="distillation strategies with and without refinement")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-
-    p = add("ablate-classifier", cmd_ablate_classifier,
-            help="the five visual classifier variants")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-
-    p = add("sweep", cmd_sweep, help="one hyperparameter over a value list")
+    add("ablate-distill", cmd_ablate_distill,
+        "distillation strategies with and without refinement", *run)
+    add("ablate-classifier", cmd_ablate_classifier,
+        "the five visual classifier variants", *run)
+    p = add("sweep", cmd_sweep, "one hyperparameter over a value list", *run)
     p.add_argument("--param", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--values", required=True, nargs="+",
                    help="values; pool accepts ALL, beta accepts task-index")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-
     p = add("theory-check", cmd_theory_check,
-            help="closed-form attention weights against the numeric minimizer")
-    p.add_argument("--out", required=True)
+            "closed-form attention weights against the numeric minimizer",
+            "--out")
     p.add_argument("--instances", type=int, default=300)
     p.add_argument("--seed", type=int, default=0)
-
-    p = add("gen-data", cmd_gen_data, help="write a synthetic feature bank")
-    p.add_argument("--config")
-    p.add_argument("--out", required=True)
-
-    p = add("report", cmd_report, help="merge run outputs into one table")
+    add("gen-data", cmd_gen_data, "write a synthetic feature bank",
+        "--config", "--out")
+    p = add("report", cmd_report, "merge run outputs into one table", "--out")
     p.add_argument("--in", dest="inputs", required=True, nargs="+",
                    help="input run directories")
     p.add_argument("--format", default="csv", choices=("csv", "json", "md"))
-    p.add_argument("--out", required=True)
 
     return parser
 

@@ -52,10 +52,9 @@ class DataConfig:
 def build_stream(data: DataConfig) -> TaskStream:
     if data.synthetic:
         return gen_synthetic(data.synthetic)
-    rule = SplitRule(num_tasks=data.bank.num_tasks,
-                     train_fraction=data.bank.train_fraction,
-                     seed=data.bank.seed)
-    return load_feature_bank(data.bank.path, rule)
+    bank = data.bank
+    rule = SplitRule(bank.num_tasks, bank.train_fraction, bank.seed)
+    return load_feature_bank(bank.path, rule)
 
 
 @dataclass(frozen=True)
@@ -137,6 +136,8 @@ _SYNTH_KEYS = ("num_tasks", "classes_per_task", "dim", "superclasses",
                "mean_correlation", "noise", "train_per_class",
                "test_per_class", "seed")
 _SYNTH_FLOATS = ("mean_correlation", "noise")
+_BANK_KINDS = {"path": [str], "num_tasks": [int], "train_fraction": _NUM,
+               "seed": [int]}
 
 
 def _parse_encoder(obj, path: str) -> EncoderConfig:
@@ -171,16 +172,12 @@ def _parse_data(obj, path: str) -> DataConfig:
     sub, subpath = obj["bank"], path + ".bank."
     if not isinstance(sub, dict):
         raise ConfigError(f"{path}.bank: expected an object")
-    _check_keys(sub, ("path", "num_tasks", "train_fraction", "seed"), subpath)
+    _check_keys(sub, _BANK_KINDS, subpath)
     if "path" not in sub or "num_tasks" not in sub:
         raise ConfigError(f"{path}.bank: path and num_tasks are required")
-    bank = BankSource(
-        path=_get(sub, "path", [str], subpath, None),
-        num_tasks=_get(sub, "num_tasks", [int], subpath, None),
-        train_fraction=_get(sub, "train_fraction", [int, float], subpath, 0.8),
-        seed=_get(sub, "seed", [int], subpath, 0),
-    )
-    return DataConfig(synthetic=None, bank=bank)
+    return DataConfig(synthetic=None, bank=BankSource(**{
+        k: _get(sub, k, kinds, subpath, None)
+        for k, kinds in _BANK_KINDS.items() if k in sub}))
 
 
 # the top-level scalar fields and the JSON types each takes, in check order
@@ -230,7 +227,14 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config: cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON in {path}: {e}") from None
-    return parse_config(obj)
+    cfg = parse_config(obj)
+    # only a config file is held to this: RunConfig and checkpoints allow
+    # a stream built apart from cfg.data, which state_for_stream checks
+    synth = cfg.data.synthetic
+    if synth is not None and synth.dim != cfg.encoder.d_v:
+        raise ConfigError(f"data.synthetic.dim: {synth.dim} must equal "
+                          f"encoder.d_v ({cfg.encoder.d_v})")
+    return cfg
 
 
 def config_dict(cfg: RunConfig) -> dict:

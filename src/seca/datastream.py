@@ -7,26 +7,24 @@ perturbation; superclasses are assigned round-robin over the global class
 index, so with enough superclasses the related classes land in different
 tasks and cross-task transfer has something to find.
 
-Feature banks are flat binary files with a JSON name manifest alongside,
-the ingestion path for features extracted by external tools.
+Feature banks are the ingestion path for features extracted by external
+tools: one codec artifact holding the features, the labels and the class
+names, each in its own digest-checked frame.
 """
 
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import seeding
+from . import codec, seeding
 from .errors import ConfigError, DataFormatError
 
 BANK_MAGIC = b"SECAFB1\x00"
-BANK_VERSION = 1
-# magic, version, feature dim, class count, sample count
-_HEADER = struct.Struct("<8sIIIQ")
+BANK_VERSION = 2
 
 
 def _lock(arr: np.ndarray) -> np.ndarray:
@@ -146,73 +144,50 @@ def gen_synthetic(spec: SyntheticSpec) -> TaskStream:
 
 
 def write_feature_bank(path, features, labels, names: dict[int, str]) -> None:
-    """Write a bank file plus its ``<path>.json`` name manifest."""
-    path = Path(path)
-    features = np.ascontiguousarray(features, dtype=np.float32)
+    """Atomically write features, labels and class names as one bank file."""
+    features = np.asarray(features, dtype=np.float32)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ValueError("features must be (n, d) with one label per row")
+    if not np.isfinite(features).all():
+        raise ValueError("features must be finite")
     num_classes = len(names)
     if set(names) != set(range(num_classes)):
         raise ValueError("manifest keys must be exactly 0..num_classes-1")
     if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
         raise ValueError("labels must fall inside the manifest range")
-    n, d = features.shape
-    rec = np.empty(n, dtype=np.dtype([("y", "<u4"), ("x", "<f4", (d,))]))
-    rec["y"] = labels
-    rec["x"] = features
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(BANK_MAGIC, BANK_VERSION, d, num_classes, n))
-        fh.write(rec.tobytes())
-    manifest = {str(k): names[k] for k in sorted(names)}
-    Path(f"{path}.json").write_text(json.dumps(manifest, indent=1))
+    arrays = {"features": features, "labels": labels,
+              "names": codec.json_array({str(k): v for k, v in names.items()})}
+    codec.write_atomic(path, codec.encode(arrays, BANK_MAGIC, BANK_VERSION))
 
 
 def read_feature_bank(path) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Parse a bank file into (features, labels, names), validating layout."""
-    path = Path(path)
-    blob = path.read_bytes()
-    if len(blob) < _HEADER.size or blob[:8] != BANK_MAGIC:
-        raise DataFormatError("bad-magic", f"{path} is not a feature bank")
-    magic, version, d, num_classes, n = _HEADER.unpack_from(blob)
-    if version != BANK_VERSION:
-        raise DataFormatError(
-            "bad-version", f"bank version {version}, expected {BANK_VERSION}"
-        )
-    if d < 1 or num_classes < 1:
-        raise DataFormatError("truncated", f"{path} header declares empty layout")
-    expected = _HEADER.size + n * (4 + 4 * d)
-    if len(blob) != expected:
-        raise DataFormatError(
-            "truncated",
-            f"{path} holds {len(blob)} bytes, header arithmetic says {expected}",
-        )
-    rec = np.frombuffer(
-        blob, dtype=np.dtype([("y", "<u4"), ("x", "<f4", (d,))]),
-        count=n, offset=_HEADER.size,
-    )
-    labels = rec["y"].astype(np.int64)
-    if labels.size and labels.max() >= num_classes:
-        raise DataFormatError(
-            "id-range",
-            f"class id {labels.max()} outside declared range {num_classes}",
-        )
-    features = rec["x"].astype(np.float32)
-
-    manifest_path = Path(f"{path}.json")
+    """Parse a bank file into (features, labels, names), validating content."""
+    what = f"feature bank {path}"
+    frames = codec.decode(Path(path).read_bytes(), BANK_MAGIC, BANK_VERSION,
+                          what)
+    features = frames.take("features", np.float32, None, None)
+    labels = frames.take("labels", np.int64, features.shape[0])
+    raw = frames.take("names", np.uint8, None).tobytes()
+    if frames:
+        raise DataFormatError("corrupt", f"{what} has extra frames "
+                              f"{sorted(frames)}")
+    if features.shape[1] < 1 or not np.isfinite(features).all():
+        raise DataFormatError("corrupt",
+                              f"{what} features are empty or non-finite")
     try:
-        raw = json.loads(manifest_path.read_text())
-        names = {int(k): str(v) for k, v in raw.items()}
-    except (OSError, ValueError) as exc:
-        raise DataFormatError(
-            "bad-manifest", f"cannot parse {manifest_path}: {exc}"
-        ) from exc
-    if set(names) != set(range(num_classes)):
-        raise DataFormatError(
-            "bad-manifest",
-            f"{manifest_path} must name exactly classes 0..{num_classes - 1}",
-        )
-    return _lock(features), _lock(labels), names
+        names = {int(k): str(v) for k, v in json.loads(raw).items()}
+    except (ValueError, AttributeError) as exc:
+        raise DataFormatError("bad-manifest",
+                              f"{what} names do not parse: {exc}") from exc
+    num_classes = len(names)
+    if not names or set(names) != set(range(num_classes)):
+        raise DataFormatError("bad-manifest", f"{what} must name classes "
+                              f"0..k-1 for some k >= 1")
+    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
+        raise DataFormatError("id-range", f"{what} has labels outside "
+                              f"classes 0..{num_classes - 1}")
+    return _lock(features), _lock(labels), dict(sorted(names.items()))
 
 
 @dataclass(frozen=True)

@@ -26,10 +26,11 @@ class DataFormatError(SecaError):
     """Malformed binary input (feature bank or checkpoint).
 
     ``code`` is a short machine-readable tag: "bad-magic", "bad-version",
-    "truncated", "id-range", "bad-manifest", or "corrupt" (a checkpoint
-    whose frames do not decode, whose digest disagrees with a frame's
-    content, or whose arrays do not parse, match the shape and dtype the
-    stored config builds, or rebuild a valid state).
+    "truncated", "id-range", "bad-manifest", or "corrupt" (an artifact
+    whose frames do not decode or whose digest disagrees with a frame's
+    content; a checkpoint whose arrays do not parse, match the shape and
+    dtype the stored config builds, or rebuild a valid state; a bank with
+    misshapen, extra or non-finite frames).
     """
 
     exit_code = 3

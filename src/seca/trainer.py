@@ -11,15 +11,12 @@ probabilities over every class seen so far.
 from __future__ import annotations
 
 import json
-import math
 import os
-import struct
-import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import seeding, tensor as T
+from . import codec, seeding, tensor as T
 from .config import RunConfig, beta_value, config_dict, parse_config
 from .datastream import TaskData, TaskStream, _lock
 from .encoder import AdapterStack, PromptBank, TextEncoder, VisualBackbone, \
@@ -135,6 +132,9 @@ def init_state(cfg: RunConfig, registry_ids, names: dict[int, str],
 
 
 def state_for_stream(cfg: RunConfig, stream: TaskStream) -> TrainState:
+    if stream.dim != cfg.encoder.d_v:
+        raise ConfigError(f"data: feature dim {stream.dim} must equal "
+                          f"encoder.d_v ({cfg.encoder.d_v})")
     ids = sorted(stream.names)
     return init_state(cfg, ids, stream.names, cfg.data.seed)
 
@@ -408,90 +408,12 @@ def write_metrics(out_dir, metrics: Metrics, stream: TaskStream) -> None:
 
 # ---------------------------------------------------------------- checkpoint
 #
-# A checkpoint is a 13-byte header (CKPT_MAGIC, u32 CKPT_VERSION), one frame
-# per named array, and an end frame with an empty name and an empty body.
-# A frame is a u16 name length, the name, a u64 body size and the body: the
-# 32-byte sha256 of the name and the array (T.checksum), a u8 dtype code, a
-# u8 ndim, ndim u64 extents, and the little-endian data.
+# A checkpoint is a codec artifact under CKPT_MAGIC and CKPT_VERSION: the
+# meta and config JSON, the pool utilities, every parameter, the prototype
+# stores, the replay store and the optimizer slots, one frame each.
 
-_DTYPES = ("<f8", "<f4", "<i8", "|u1")
-_END = struct.pack("<HQ", 0, 0)
 # PrototypeBank stores, each saved as sorted class ids plus one row per id
 _PROTO_STORES = ("raw", "adapted", "refined_current", "refined_snapshot")
-
-
-def _digest(name: bytes, arr: np.ndarray) -> bytes:
-    return bytes.fromhex(T.checksum([np.frombuffer(name, np.uint8), arr]))
-
-
-def _encode(arrays: dict[str, np.ndarray]) -> bytes:
-    """The checkpoint bytes of named arrays, framed in dict order."""
-    out = [CKPT_MAGIC, struct.pack("<I", CKPT_VERSION)]
-    for key, arr in arrays.items():
-        name = key.encode()
-        dt = np.asarray(arr).dtype.newbyteorder("<")
-        if not name or dt.str not in _DTYPES:
-            raise ValueError(f"cannot frame array {key!r} of dtype {dt}")
-        arr = np.asarray(arr, dtype=dt, order="C")
-        body = [_digest(name, arr),
-                struct.pack(f"<BB{arr.ndim}Q", _DTYPES.index(dt.str), arr.ndim,
-                            *arr.shape),
-                arr.tobytes()]
-        out += [struct.pack("<H", len(name)), name,
-                struct.pack("<Q", sum(map(len, body))), *body]
-    out.append(_END)
-    return b"".join(out)
-
-
-def _frame_array(name: bytes, body: bytes) -> np.ndarray:
-    code, ndim = body[32], body[33]
-    shape = struct.unpack_from(f"<{ndim}Q", body, 34)
-    dt = np.dtype(_DTYPES[code])
-    start = 34 + 8 * ndim
-    if len(body) != start + dt.itemsize * math.prod(shape):
-        raise ValueError("frame size disagrees with its shape")
-    arr = np.frombuffer(body, dt, offset=start).reshape(shape).copy()
-    if _digest(name, arr) != body[:32]:
-        raise ValueError("digest mismatch")
-    return arr
-
-
-def _decode(blob: bytes) -> dict[str, np.ndarray]:
-    """Inverse of _encode; any damaged byte raises DataFormatError."""
-    if len(blob) < 13 or blob[:9] != CKPT_MAGIC:
-        raise DataFormatError("bad-magic", "not a SECA checkpoint")
-    version = struct.unpack_from("<I", blob, 9)[0]
-    if version != CKPT_VERSION:
-        raise DataFormatError("bad-version", f"checkpoint version {version} "
-                              f"unsupported; this build reads version "
-                              f"{CKPT_VERSION}")
-    out = {}
-    off = 13
-    while True:
-        if off + 10 > len(blob):
-            raise DataFormatError("truncated", "checkpoint ends mid-frame")
-        nlen = struct.unpack_from("<H", blob, off)[0]
-        if off + 10 + nlen > len(blob):
-            raise DataFormatError("truncated", "checkpoint ends mid-frame")
-        name = blob[off + 2:off + 2 + nlen]
-        size = struct.unpack_from("<Q", blob, off + 2 + nlen)[0]
-        off += 10 + nlen
-        if off + size > len(blob):
-            raise DataFormatError("truncated", "checkpoint ends mid-frame")
-        body = blob[off:off + size]
-        off += size
-        if not name:
-            if size or off != len(blob):
-                raise DataFormatError("corrupt", "malformed end frame")
-            return out
-        try:
-            key = name.decode()
-            if key in out:
-                raise ValueError("duplicate frame")
-            out[key] = _frame_array(name, body)
-        except (ValueError, IndexError, struct.error) as e:
-            raise DataFormatError("corrupt",
-                                  f"checkpoint frame {name!r}: {e}") from e
 
 
 def _parameter_frames(state: TrainState) -> dict[str, T.Parameter]:
@@ -512,10 +434,6 @@ def _parameter_frames(state: TrainState) -> dict[str, T.Parameter]:
     return out
 
 
-def _json_array(doc) -> np.ndarray:
-    return np.frombuffer(json.dumps(doc, sort_keys=True).encode(), np.uint8)
-
-
 def _stacked(rows, *shape) -> np.ndarray:
     """Stack float64 rows of one shape; zero rows give a (0, *shape) array."""
     return np.array(rows, dtype=np.float64).reshape(len(rows), *shape)
@@ -531,8 +449,8 @@ def save_checkpoint(path, state: TrainState) -> None:
         "names": {str(k): v for k, v in state.names.items()},
     }
     d = state.cfg.encoder.d_v
-    arrays = {"meta": _json_array(meta),
-              "config": _json_array(config_dict(state.cfg)),
+    arrays = {"meta": codec.json_array(meta),
+              "config": codec.json_array(config_dict(state.cfg)),
               "pool.utilities": state.pool.utilities}
     arrays.update((k, p.data) for k, p in _parameter_frames(state).items())
     bank = state.protos
@@ -557,17 +475,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         arrays[f"optim.v.{name}"] = slot["v"]
         arrays[f"optim.t.{name}"] = np.array([slot["t"]], dtype=np.int64)
 
-    data = _encode(arrays)
-    dir_name = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=dir_name, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    codec.write_atomic(path, codec.encode(arrays, CKPT_MAGIC, CKPT_VERSION))
 
 
 def load_checkpoint(path) -> TrainState:
@@ -575,36 +483,24 @@ def load_checkpoint(path) -> TrainState:
     with open(path, "rb") as fh:
         blob = fh.read()
     try:
-        return _restore(_decode(blob))
+        return _restore(codec.decode(blob, CKPT_MAGIC, CKPT_VERSION,
+                                     "checkpoint"))
     except (ValueError, LookupError, TypeError, AttributeError, ConfigError,
             ProtocolError) as e:
         raise DataFormatError("corrupt", f"malformed checkpoint: {e}") from e
 
 
-def _take(arrays: dict, name: str, dtype, *shape) -> np.ndarray:
-    """Pop one decoded array, requiring its dtype and shape (None: any)."""
-    if name not in arrays:
-        raise DataFormatError("corrupt", f"checkpoint lacks {name}")
-    arr = arrays.pop(name)
-    if arr.dtype != dtype or arr.ndim != len(shape) or \
-            any(s not in (None, a) for s, a in zip(shape, arr.shape)):
-        raise DataFormatError("corrupt", f"checkpoint {name} is {arr.dtype} "
-                              f"{arr.shape}, expected {np.dtype(dtype)} "
-                              f"{shape}")
-    return arr
-
-
-def _class_ids(arrays: dict, name: str, allowed: set[int]) -> list[int]:
-    ids = _take(arrays, name, np.int64, None).tolist()
+def _class_ids(arrays: codec.Frames, name: str, allowed: set[int]) -> list[int]:
+    ids = arrays.take(name, np.int64, None).tolist()
     if ids != sorted(set(ids)) or not set(ids) <= allowed:
         raise DataFormatError("corrupt", f"checkpoint {name} lists bad ids")
     return ids
 
 
-def _restore(arrays: dict[str, np.ndarray]) -> TrainState:
-    meta = json.loads(_take(arrays, "meta", np.uint8, None).tobytes())
-    cfg = parse_config(json.loads(_take(arrays, "config", np.uint8,
-                                        None).tobytes()))
+def _restore(arrays: codec.Frames) -> TrainState:
+    meta = json.loads(arrays.take("meta", np.uint8, None).tobytes())
+    config = arrays.take("config", np.uint8, None).tobytes()
+    cfg = parse_config(json.loads(config))
     names = {int(k): v for k, v in meta["names"].items()}
     state = init_state(cfg, sorted(names), names, meta["registry_seed"])
     state.task = int(meta["task"])
@@ -619,7 +515,7 @@ def _restore(arrays: dict[str, np.ndarray]) -> TrainState:
     for t in range(1, state.task + 1):
         state.prompts.new_prompt(t, cfg.seed)
         state.prompts.freeze_task(t)
-    utilities = _take(arrays, "pool.utilities", np.float64, None)
+    utilities = arrays.take("pool.utilities", np.float64, None)
     if cfg.pool_max is not None and utilities.size > cfg.pool_max:
         raise ValueError("adapter pool exceeds pool_max")
     for u in utilities.tolist():
@@ -629,33 +525,33 @@ def _restore(arrays: dict[str, np.ndarray]) -> TrainState:
             state.head.add_task(t, ids)
     by_name = {}
     for frame, p in _parameter_frames(state).items():
-        p.data[...] = _take(arrays, frame, p.data.dtype, *p.data.shape)
+        p.data[...] = arrays.take(frame, p.data.dtype, *p.data.shape)
         by_name[p.name] = p
 
     d = cfg.encoder.d_v
     bank = state.protos
     for store_name in _PROTO_STORES:
         ids = _class_ids(arrays, f"protos.{store_name}.ids", seen)
-        rows = _take(arrays, f"protos.{store_name}", np.float64, len(ids), d)
+        rows = arrays.take(f"protos.{store_name}", np.float64, len(ids), d)
         setattr(bank, store_name, dict(zip(ids, _lock(rows))))
-    counts = _take(arrays, "protos.counts", np.int64, len(bank.raw))
+    counts = arrays.take("protos.counts", np.int64, len(bank.raw))
     bank.counts = dict(zip(bank.raw, counts.tolist()))
     if state.store is not None:
         ids = _class_ids(arrays, "replay.ids", seen)
         n = len(ids)
         cov_shape = (d, d) if cfg.replay_full_cov else (d,)
-        counts = _take(arrays, "replay.counts", np.int64, n).tolist()
-        mu = _lock(_take(arrays, "replay.mu", np.float64, n, d))
-        cov = _lock(_take(arrays, "replay.cov", np.float64, n, *cov_shape))
+        counts = arrays.take("replay.counts", np.int64, n).tolist()
+        mu = _lock(arrays.take("replay.mu", np.float64, n, d))
+        cov = _lock(arrays.take("replay.cov", np.float64, n, *cov_shape))
         state.store.classes = {k: ClassGaussian(mu[i], cov[i], counts[i])
                                for i, k in enumerate(ids)}
     for frame in [k for k in arrays if k.startswith("optim.t.")]:
         name = frame[len("optim.t."):]
         p = by_name[name]
         state.optimizer.slots[name] = {
-            "m": _take(arrays, f"optim.m.{name}", p.data.dtype, *p.data.shape),
-            "v": _take(arrays, f"optim.v.{name}", p.data.dtype, *p.data.shape),
-            "t": int(_take(arrays, frame, np.int64, 1)[0]),
+            "m": arrays.take(f"optim.m.{name}", p.data.dtype, *p.data.shape),
+            "v": arrays.take(f"optim.v.{name}", p.data.dtype, *p.data.shape),
+            "t": int(arrays.take(frame, np.int64, 1)[0]),
         }
     if arrays:
         raise ValueError(f"unexpected checkpoint frames {sorted(arrays)[:3]}")

@@ -8,6 +8,7 @@ import pytest
 
 from seca import cli
 from seca.config import parse_config
+from seca.datastream import write_feature_bank
 from seca.errors import NumericsError
 
 TINY = {
@@ -92,6 +93,24 @@ class TestTrain:
         }))
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("source", ["synthetic", "bank"])
+    def test_data_dim_disagreeing_with_encoder_exits_2(self, tmp_path, capsys,
+                                                       source):
+        # the encoder keeps its default width, 64
+        if source == "synthetic":
+            data = {"synthetic": {"num_tasks": 2, "dim": 8}}
+        else:
+            write_feature_bank(tmp_path / "b.bin", np.ones((8, 8)),
+                               np.repeat(np.arange(4), 2),
+                               {k: str(k) for k in range(4)})
+            data = {"bank": {"path": str(tmp_path / "b.bin"),
+                             "num_tasks": 2, "train_fraction": 0.5}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": data}))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "encoder.d_v" in capsys.readouterr().err
 
     def test_unknown_flag_exits_2(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -302,8 +321,8 @@ class TestGenData:
         gen = tmp_path / "gen"
         assert cli.main(["gen-data", "--config", str(cfg_path),
                          "--out", str(gen)]) == 0
-        assert (gen / "bank.bin").exists()
-        assert (gen / "bank.bin.json").exists()
+        assert sorted(p.name for p in gen.iterdir()) \
+            == ["bank.bin", "manifest.json"]  # no name sidecar
 
         cfg = json.loads(cfg_path.read_text())
         cfg["data"] = {"bank": {"path": str(gen / "bank.bin"),
@@ -312,6 +331,33 @@ class TestGenData:
         bank_cfg.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(bank_cfg),
                          "--out", str(tmp_path / "run")]) == 0
+
+
+    def test_damaged_bank_exits_3(self, cfg_path, tmp_path):
+        gen = tmp_path / "gen"
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--out", str(gen)]) == 0
+        blob = (gen / "bank.bin").read_bytes()
+        bad = tmp_path / "bad.bin"
+        cfg = json.loads(cfg_path.read_text())
+        cfg["data"] = {"bank": {"path": str(bad), "num_tasks": 2}}
+        bank_cfg = tmp_path / "bank.json"
+        bank_cfg.write_text(json.dumps(cfg))
+        bad.write_bytes(blob)  # undamaged, the copy trains
+        assert cli.main(["train", "--config", str(bank_cfg),
+                         "--out", str(tmp_path / "ok")]) == 0
+        rng = np.random.default_rng(41)
+        for i in range(30):
+            pos = int(rng.integers(0, len(blob)))
+            if i % 3:
+                flipped = bytearray(blob)
+                flipped[pos] ^= 1 << int(rng.integers(0, 8))
+                bad.write_bytes(bytes(flipped))
+            else:
+                bad.write_bytes(blob[:pos])
+            assert cli.main(["train", "--config", str(bank_cfg),
+                             "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o" / "summary.json").exists()
 
 
 class TestReport:
@@ -361,6 +407,25 @@ class TestReport:
                          "--format", "csv",
                          "--out", str(tmp_path / "o")]) == 3
         assert "versions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,text", [
+        ("summary.json", "{not json"),
+        ("manifest.json", "[1, 2]"),
+        ("summary.json", '{"avg": 1}'),
+        ("rows.json", '{"rows": [{"variant": "a", "avg": 1, "per_task": []}]}'),
+        ("rows.json", '{"rows": [{"variant": "a", "last": "high", "avg": 1, '
+                      '"per_task": []}]}'),
+    ])
+    def test_malformed_inputs_exit_3(self, train_dir, tmp_path, capsys, name,
+                                     text):
+        clone = tmp_path / "clone"
+        clone.mkdir()
+        for keep in ("manifest.json", "summary.json"):
+            (clone / keep).write_bytes((train_dir / keep).read_bytes())
+        (clone / name).write_text(text)
+        assert cli.main(["report", "--in", str(clone),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "malformed run outputs" in capsys.readouterr().err
 
     def test_missing_manifest_exits_3(self, tmp_path):
         empty = tmp_path / "empty"

@@ -10,6 +10,7 @@ from seca.config import BETA_TASK_INDEX, BankSource, DataConfig, RunConfig, \
 from seca.datastream import SyntheticSpec, write_feature_bank
 from seca.encoder import EncoderConfig
 from seca.errors import ConfigError
+from seca.trainer import state_for_stream
 
 
 class TestParse:
@@ -100,6 +101,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match="d_t"):
             RunConfig(encoder=EncoderConfig(d_v=32, d_t=16))
 
+    def test_synthetic_dim_must_match_encoder(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"data": {"synthetic": {"dim": 8}}}))
+        with pytest.raises(ConfigError, match=r"data\.synthetic\.dim: 8 must "
+                                              r"equal encoder\.d_v \(64\)"):
+            load_config(p)
+        p.write_text(json.dumps({"encoder": {"d_v": 16, "d_t": 16}}))
+        with pytest.raises(ConfigError, match=r"data\.synthetic\.dim"):
+            load_config(p)
+
     def test_data_exactly_one(self):
         with pytest.raises(ConfigError, match="exactly one"):
             DataConfig(synthetic=None, bank=None)
@@ -189,3 +200,7 @@ class TestBuildStream:
         stream = build_stream(cfg.data)
         assert stream.num_tasks == 2
         assert set(stream.names) == set(range(4))
+        # the bank's width, 6, disagrees with the default encoder's 64
+        with pytest.raises(ConfigError, match=r"data: feature dim 6 must "
+                                              r"equal encoder\.d_v \(64\)"):
+            state_for_stream(cfg, stream)

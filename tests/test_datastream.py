@@ -1,13 +1,20 @@
 """Synthetic stream generation and feature-bank serialization."""
 
-import json
+import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from seca.codec import decode, encode, json_array
 
 from seca.datastream import (
     BANK_MAGIC,
+    BANK_VERSION,
     SplitRule,
     SyntheticSpec,
     TaskData,
@@ -140,6 +147,14 @@ def bank(tmp_path):
     return path, x, y, stream.names
 
 
+@pytest.fixture(scope="module")
+def bank_blob(tmp_path_factory):
+    stream = gen_synthetic(SMALL)
+    path = tmp_path_factory.mktemp("bank") / "small.fb"
+    write_feature_bank(path, *flatten_stream(stream), stream.names)
+    return path.read_bytes()
+
+
 class TestBankIO:
     def test_round_trip_bitwise(self, bank):
         path, x, y, names = bank
@@ -185,6 +200,15 @@ class TestBankIO:
         assert stream.tasks[0].test_y.size == 2
 
 
+def recoded(path, tmp_path, **frames):
+    """A copy of a bank with some frames replaced, framed by the codec."""
+    arrays = decode(path.read_bytes(), BANK_MAGIC, BANK_VERSION, "bank")
+    arrays.update(frames)
+    out = tmp_path / "recoded.fb"
+    out.write_bytes(encode(arrays, BANK_MAGIC, BANK_VERSION))
+    return out
+
+
 class TestBankErrors:
     def test_bad_magic(self, bank, tmp_path):
         blob = bank[0].read_bytes()
@@ -196,8 +220,8 @@ class TestBankErrors:
 
     def test_bad_version(self, bank, tmp_path):
         blob = bytearray(bank[0].read_bytes())
-        struct.pack_into("<I", blob, 8, 2)
-        bad = tmp_path / "v2.fb"
+        struct.pack_into("<I", blob, 8, 1)  # the retired record layout
+        bad = tmp_path / "v1.fb"
         bad.write_bytes(bytes(blob))
         with pytest.raises(DataFormatError) as exc:
             read_feature_bank(bad)
@@ -205,39 +229,81 @@ class TestBankErrors:
 
     @pytest.mark.parametrize("surgery", [lambda b: b[:-3], lambda b: b + b"xx"])
     def test_truncated(self, bank, tmp_path, surgery):
+        blob = bank[0].read_bytes()
         bad = tmp_path / "cut.fb"
-        bad.write_bytes(surgery(bank[0].read_bytes()))
+        bad.write_bytes(surgery(blob))
         with pytest.raises(DataFormatError) as exc:
             read_feature_bank(bad)
-        assert exc.value.code == "truncated"
+        # bytes after the end frame make a malformed end frame
+        grown = bad.stat().st_size > len(blob)
+        assert exc.value.code == ("corrupt" if grown else "truncated")
 
     def test_id_out_of_range(self, bank, tmp_path):
-        blob = bytearray(bank[0].read_bytes())
-        # first record's class id sits right after the 28-byte header
-        struct.pack_into("<I", blob, 28, 999)
-        bad = tmp_path / "ids.fb"
-        bad.write_bytes(bytes(blob))
-        (tmp_path / "ids.fb.json").write_text(json.dumps(
-            {str(k): str(k) for k in bank[3]}))
-        with pytest.raises(DataFormatError) as exc:
-            read_feature_bank(bad)
-        assert exc.value.code == "id-range"
-
-    def test_missing_manifest(self, bank, tmp_path):
-        lone = tmp_path / "lone.fb"
-        lone.write_bytes(bank[0].read_bytes())
-        with pytest.raises(DataFormatError) as exc:
-            read_feature_bank(lone)
-        assert exc.value.code == "bad-manifest"
+        for label in (999, 6, -1):
+            labels = bank[2].copy()
+            labels[0] = label
+            with pytest.raises(DataFormatError) as exc:
+                read_feature_bank(recoded(bank[0], tmp_path, labels=labels))
+            assert exc.value.code == "id-range"
 
     def test_manifest_gap(self, bank, tmp_path):
-        names = {str(k): "x" for k in range(len(bank[3]) - 1)}
-        gap = tmp_path / "gap.fb"
-        gap.write_bytes(bank[0].read_bytes())
-        (tmp_path / "gap.fb.json").write_text(json.dumps(names))
+        for names in ({str(k): "x" for k in range(6) if k != 2}, {}, [],
+                      {"a": "x"}):
+            gap = recoded(bank[0], tmp_path, names=json_array(names))
+            with pytest.raises(DataFormatError) as exc:
+                read_feature_bank(gap)
+            assert exc.value.code == "bad-manifest"
+
+    @pytest.mark.parametrize("fault", ["nan", "inf", "no columns",
+                                       "short labels", "u8 labels", "extra"])
+    def test_well_framed_bad_content_is_corrupt(self, bank, tmp_path, fault):
+        x, y = bank[1].copy(), bank[2]
+        x[3, 5] = {"nan": np.nan, "inf": -np.inf}.get(fault, x[3, 5])
+        frames = {"features": x, "labels": y}
+        frames.update({"no columns": {"features": x[:, :0]},
+                       "short labels": {"labels": y[1:]},
+                       "u8 labels": {"labels": y.astype(np.uint8)},
+                       "extra": {"extra": np.zeros(1)}}.get(fault, {}))
         with pytest.raises(DataFormatError) as exc:
-            read_feature_bank(gap)
-        assert exc.value.code == "bad-manifest"
+            read_feature_bank(recoded(bank[0], tmp_path, **frames))
+        assert exc.value.code == "corrupt"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_writer_refuses_non_finite_features(self, tmp_path, value):
+        x = np.zeros((2, 3))
+        x[1, 2] = value
+        with pytest.raises(ValueError, match="finite"):
+            write_feature_bank(tmp_path / "b.fb", x, [0, 0], {0: "a"})
+        assert not (tmp_path / "b.fb").exists()
+
+    def test_failed_overwrite_keeps_the_old_bank(self, bank, tmp_path,
+                                                 monkeypatch):
+        path, x, y, names = bank
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("no space left")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_feature_bank(path, x + 1, y, names)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["small.fb"]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_any_flipped_byte_or_truncation_raises(self, bank_blob, data):
+        blob = bytearray(bank_blob)
+        pos = data.draw(st.integers(0, len(blob) - 1))
+        if data.draw(st.booleans()):
+            blob[pos] ^= data.draw(st.integers(1, 255))
+        else:
+            del blob[pos:]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "bad.fb"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(DataFormatError):
+                read_feature_bank(path)
 
     def test_magic_value(self):
         assert BANK_MAGIC == b"SECAFB1\x00" and len(BANK_MAGIC) == 8

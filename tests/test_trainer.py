@@ -17,8 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seca import tensor as T
+from seca.codec import decode, encode
 from seca.config import DataConfig, RunConfig, beta_value, build_stream
-from seca.datastream import SyntheticSpec, gen_synthetic
+from seca.datastream import BANK_MAGIC, BANK_VERSION, SyntheticSpec, \
+    gen_synthetic
 from seca.encoder import EncoderConfig, clip_logits, text_features
 from seca.errors import DataFormatError, ProtocolError
 from seca.replay import draw_pseudo_batch, replay_losses, sample
@@ -26,8 +28,8 @@ from seca.sevpr import affinity_matrix, loss_ce_v, loss_reg, \
     refine_prototypes, visual_prob
 from seca.sgakt import STRATEGIES, loss_agg, loss_sgakt, semantic_vectors, \
     teacher_result
-from seca.trainer import Adam, Metrics, TaskContext, _decode, _encode, \
-    _replay_seed, _trainables, accuracy, batch_loss, load_checkpoint, \
+from seca.trainer import CKPT_MAGIC, CKPT_VERSION, Adam, Metrics, \
+    TaskContext, _replay_seed, _trainables, accuracy, batch_loss, load_checkpoint, \
     predict, predict_scores, run_stream, save_checkpoint, state_for_stream, \
     train_task, write_metrics
 
@@ -863,13 +865,14 @@ class TestCheckpoint:
         save_checkpoint(path, state)
         load_checkpoint(path)
         frame, change = MISFIT[case]
-        arrays = _decode(path.read_bytes())
+        arrays = decode(path.read_bytes(), CKPT_MAGIC, CKPT_VERSION,
+                        "checkpoint")
         if change is None:
             del arrays[frame]
         else:
             arrays[frame] = change(arrays[frame]) if callable(change) \
                 else change
-        path.write_bytes(_encode(arrays))
+        path.write_bytes(encode(arrays, CKPT_MAGIC, CKPT_VERSION))
         with pytest.raises(DataFormatError) as e:
             load_checkpoint(path)
         assert e.value.code == "corrupt"
@@ -878,15 +881,27 @@ class TestCheckpoint:
         state, _ = run_tasks(make_cfg(pool_max=1))
         path = tmp_path / "ok.ckpt"
         save_checkpoint(path, state)
-        arrays = _decode(path.read_bytes())
+        arrays = decode(path.read_bytes(), CKPT_MAGIC, CKPT_VERSION,
+                        "checkpoint")
         # a second well-formed pool entry, beyond pool_max=1
         arrays.update({k.replace("pool.0.", "pool.1."): v
                        for k, v in arrays.items() if k.startswith("pool.0.")})
         arrays["pool.utilities"] = np.ones(2)
-        path.write_bytes(_encode(arrays))
+        path.write_bytes(encode(arrays, CKPT_MAGIC, CKPT_VERSION))
         with pytest.raises(DataFormatError) as e:
             load_checkpoint(path)
         assert e.value.code == "corrupt"
+
+    def test_stream_built_apart_from_cfg_data_round_trips(self, tmp_path):
+        # cfg.data keeps its 64-wide default; the 16-wide stream is built
+        # apart, as the acceptance gate does, and the checkpoint still loads
+        cfg = RunConfig(encoder=ENC, epochs_per_task=1, batch_size=8)
+        stream = build_stream(DataConfig(synthetic=SPEC3))
+        state = state_for_stream(cfg, stream)
+        train_task(state, stream.tasks[0])
+        path = tmp_path / "apart.ckpt"
+        save_checkpoint(path, state)
+        assert state_digest(load_checkpoint(path)) == state_digest(state)
 
     def test_overwrite_in_place(self, tmp_path):
         state, _ = run_tasks(make_cfg(), upto=1)
@@ -905,32 +920,54 @@ ARRAY_DICTS = st.dictionaries(
     max_size=5)
 
 
+# both artifact headers: a 9-byte and an 8-byte magic
+HEADERS = st.sampled_from([(CKPT_MAGIC, CKPT_VERSION),
+                           (BANK_MAGIC, BANK_VERSION)])
+
+
 class TestCodec:
-    @given(ARRAY_DICTS)
+    @given(HEADERS, ARRAY_DICTS)
     @settings(max_examples=100, deadline=None)
-    def test_round_trip_bitwise(self, arrays):
-        back = _decode(_encode(arrays))
+    def test_round_trip_bitwise(self, head, arrays):
+        back = decode(encode(arrays, *head), *head, "artifact")
         assert list(back) == list(arrays)
         for name, arr in arrays.items():
             assert back[name].dtype == arr.dtype
             assert back[name].shape == arr.shape
             assert back[name].tobytes() == arr.tobytes()
 
-    @given(ARRAY_DICTS, st.data())
+    @given(HEADERS, ARRAY_DICTS, st.data())
     @settings(max_examples=100, deadline=None)
-    def test_any_flipped_byte_raises(self, arrays, data):
-        blob = bytearray(_encode(arrays))
+    def test_any_flipped_byte_raises(self, head, arrays, data):
+        blob = bytearray(encode(arrays, *head))
         blob[data.draw(st.integers(0, len(blob) - 1))] ^= \
             data.draw(st.integers(1, 255))
         with pytest.raises(DataFormatError):
-            _decode(bytes(blob))
+            decode(bytes(blob), *head, "artifact")
 
-    @given(ARRAY_DICTS, st.data())
+    @given(HEADERS, ARRAY_DICTS, st.data())
     @settings(max_examples=100, deadline=None)
-    def test_any_truncation_raises(self, arrays, data):
-        blob = _encode(arrays)
+    def test_any_truncation_raises(self, head, arrays, data):
+        blob = encode(arrays, *head)
         with pytest.raises(DataFormatError):
-            _decode(blob[:data.draw(st.integers(0, len(blob) - 1))])
+            decode(blob[:data.draw(st.integers(0, len(blob) - 1))], *head,
+                   "artifact")
+
+    def test_errors_name_the_artifact(self):
+        blob = encode({"x": np.zeros(2)}, BANK_MAGIC, BANK_VERSION)
+        with pytest.raises(DataFormatError, match="not a SECA checkpoint"):
+            decode(blob, CKPT_MAGIC, CKPT_VERSION, "checkpoint")
+        with pytest.raises(DataFormatError,
+                           match="bank version 2 unsupported; this build "
+                                 "reads version 3"):
+            decode(blob, BANK_MAGIC, 3, "bank")
+        with pytest.raises(DataFormatError, match="bank ends mid-frame"):
+            decode(blob[:-1], BANK_MAGIC, BANK_VERSION, "bank")
+        frames = decode(blob, BANK_MAGIC, BANK_VERSION, "bank")
+        with pytest.raises(DataFormatError, match="bank lacks y"):
+            frames.take("y", np.float64, 2)
+        with pytest.raises(DataFormatError, match=r"bank x is float64 \(2,\)"):
+            frames.take("x", np.float64, 3)
 
 
 class TestStrategyParity:
