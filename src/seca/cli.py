@@ -24,14 +24,14 @@ import numpy as np
 
 from . import seeding, theory
 from .config import BETA_TASK_INDEX, RunConfig, build_stream, config_dict, \
-    load_config
+    load_config, parse_config
 from .datastream import BANK_VERSION, flatten_stream, gen_synthetic, \
     write_feature_bank
 from .errors import ConfigError, DataFormatError, SecaError
 from .sevpr import VARIANTS
 from .sgakt import STRATEGIES
-from .trainer import CKPT_VERSION, accuracy, load_checkpoint, predict, \
-    run_stream, save_checkpoint, write_metrics
+from .trainer import CKPT_VERSION, load_checkpoint, predict, run_stream, \
+    save_checkpoint, write_metrics
 
 MANIFEST_VERSION = 1
 FORMAT_VERSIONS = {
@@ -124,14 +124,11 @@ def cmd_eval(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stream = build_stream(state.cfg.data)
-    fn = lambda bx: predict(state, bx)
-    per_task = [
-        100.0 * float(np.mean(fn(t.test_x) == t.test_y))
-        for t in stream.tasks[:state.task]
-    ]
+    hits = [predict(state, t.test_x) == t.test_y
+            for t in stream.tasks[:state.task]]
     doc = {
-        "overall": accuracy(stream, state.task, fn),
-        "per_task": per_task,
+        "overall": 100.0 * float(np.mean(np.concatenate(hits))),
+        "per_task": [100.0 * float(np.mean(h)) for h in hits],
         "tasks": state.task,
     }
     _write_json(out_dir / "eval.json", doc)
@@ -157,33 +154,35 @@ def cmd_ablate_classifier(args) -> int:
     return 0
 
 
-# sweep parameter -> (config field, value parser, tokens taken as they are)
-_SWEEPS = {
-    "beta": ("beta", float,
-             {BETA_TASK_INDEX: BETA_TASK_INDEX, "dynamic": BETA_TASK_INDEX}),
-    "tau_prime": ("tau_prime", float, {}),
-    "pool": ("pool_max", int, {"ALL": None}),
-    "width": ("adapter_width", int, {}),
-}
+# sweep parameter -> its key path in the config document
+_SWEEPS = {"beta": ("beta",), "tau_prime": ("tau_prime",),
+           "pool": ("pool_max",), "width": ("encoder", "adapter_width")}
 
 
 def _sweep_variants(param: str, tokens: list[str],
                     cfg: RunConfig) -> list[tuple[str, dict]]:
-    field, parse, special = _SWEEPS[param]
+    """One variant per token, each parsed as a config file value would be.
+
+    A token is JSON, or else a bare word; ``dynamic`` names the
+    task-index schedule. Every token is checked before any leaf trains.
+    """
+    path = _SWEEPS[param]
     variants = []
     for tok in tokens:
-        if tok in special:
-            value = special[tok]
-        else:
-            try:
-                value = parse(tok)
-            except ValueError:
-                raise ConfigError(f"sweep: bad {param} value {tok!r}") from None
-        if field == "adapter_width":
-            overrides = {"encoder": replace(cfg.encoder, adapter_width=value)}
-        else:
-            overrides = {field: value}
-        variants.append((f"{param}={tok}", overrides))
+        doc = config_dict(cfg)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        try:
+            node[path[-1]] = json.loads(tok)
+        except json.JSONDecodeError:
+            node[path[-1]] = BETA_TASK_INDEX if tok == "dynamic" else tok
+        try:
+            value = getattr(parse_config(doc), path[0])
+        except ConfigError as e:
+            raise ConfigError(f"sweep: bad {param} value {tok!r}: {e}") \
+                from None
+        variants.append((f"{param}={tok}", {path[0]: value}))
     return variants
 
 
@@ -356,7 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("sweep", cmd_sweep, "one hyperparameter over a value list", *run)
     p.add_argument("--param", required=True, choices=tuple(_SWEEPS))
     p.add_argument("--values", required=True, nargs="+",
-                   help="values; pool accepts ALL, beta accepts task-index")
+                   help="values, each what a config file takes for the "
+                        "field (JSON, or a bare word such as ALL or "
+                        "task-index); beta also takes dynamic")
     p = add("theory-check", cmd_theory_check,
             "closed-form attention weights against the numeric minimizer",
             "--out")

@@ -1,14 +1,19 @@
 """Run configuration: one JSON document, explicit defaults, strict parsing.
 
 Every field that reaches a manifest is resolved here, so a dumped config
-re-runs the exact experiment. Unknown keys and type mismatches are rejected
-with the offending field path in the message.
+re-runs the exact experiment. The dataclass fields are the only schema: a
+JSON value is checked against its field's annotation, numbers must be
+finite, and float fields are stored as floats. Unknown keys, type
+mismatches and non-finite numbers are rejected with the offending field
+path in the message.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+import math
+from dataclasses import MISSING, asdict, dataclass, field, fields, \
+    replace
 
 from .datastream import SplitRule, SyntheticSpec, TaskStream, gen_synthetic, \
     load_feature_bank
@@ -112,111 +117,90 @@ def beta_value(cfg: RunConfig, task: int) -> float:
     return float(cfg.beta)
 
 
-def _check_keys(obj: dict, allowed, path: str) -> None:
-    for key in obj:
-        if key not in allowed:
-            raise ConfigError(f"{path}{key}: unknown field")
+# the JSON types each scalar annotation (a string, as annotations are
+# postponed) takes; a float field also takes integers and stores a float
+_JSON = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
-def _get(obj: dict, key: str, kinds, path: str, default):
-    if key not in obj:
-        return default
-    val = obj[key]
-    if isinstance(val, bool) and bool not in kinds:
-        raise ConfigError(f"{path}{key}: wrong type")
-    if not isinstance(val, tuple(kinds)):
-        raise ConfigError(f"{path}{key}: wrong type")
+def _number(val, where: str) -> float:
+    try:
+        val = float(val)
+    except OverflowError:  # an integer past the float range
+        val = math.inf
+    if not math.isfinite(val):
+        raise ConfigError(f"{where}: must be finite")
     return val
 
 
-_NUM = [int, float]  # numbers; top-level ones are stored as floats
-_ENCODER_KEYS = ("d_v", "d_t", "layers", "adapter_width", "prompt_tokens",
-                 "seed")
-_SYNTH_KEYS = ("num_tasks", "classes_per_task", "dim", "superclasses",
-               "mean_correlation", "noise", "train_per_class",
-               "test_per_class", "seed")
-_SYNTH_FLOATS = ("mean_correlation", "noise")
-_BANK_KINDS = {"path": [str], "num_tasks": [int], "train_fraction": _NUM,
-               "seed": [int]}
+def _fields(cls, obj, path: str, **nested) -> dict:
+    """The fields of dataclass ``cls`` given in JSON object ``obj``.
 
-
-def _parse_encoder(obj, path: str) -> EncoderConfig:
+    Each field is checked against its annotation; ``nested`` maps the
+    fields that are not plain scalars to a ``parse(value, path)`` of their
+    own. Fields without a default must be present.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    d = EncoderConfig()
-    _check_keys(obj, _ENCODER_KEYS, path + ".")
-    return EncoderConfig(**{k: _get(obj, k, [int], path + ".", getattr(d, k))
-                            for k in _ENCODER_KEYS})
+        raise ConfigError(f"{path or 'config'}: expected a JSON object")
+    prefix = path + "." if path else ""
+    known = fields(cls)
+    names = {f.name for f in known}
+    for key in obj:
+        if key not in names:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+    required = [f.name for f in known
+                if f.default is MISSING and f.default_factory is MISSING]
+    if not set(required) <= set(obj):
+        raise ConfigError(f"{path}: {' and '.join(required)} are required")
+    out = {}
+    for f in known:
+        if f.name not in obj:
+            continue
+        val, where = obj[f.name], prefix + f.name
+        if f.name in nested:
+            out[f.name] = nested[f.name](val, where)
+            continue
+        kinds = _JSON[f.type]
+        if isinstance(val, bool) and bool not in kinds \
+                or not isinstance(val, kinds):
+            raise ConfigError(f"{where}: wrong type")
+        out[f.name] = _number(val, where) if float in kinds else val
+    return out
 
 
-def _parse_data(obj, path: str) -> DataConfig:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{path}: expected an object")
-    _check_keys(obj, ("synthetic", "bank"), path + ".")
-    if ("synthetic" in obj) == ("bank" in obj):
-        raise ConfigError(f"{path}: exactly one of synthetic/bank required")
-    if "synthetic" in obj:
-        sub, subpath = obj["synthetic"], path + ".synthetic."
-        if not isinstance(sub, dict):
-            raise ConfigError(f"{path}.synthetic: expected an object")
-        d = SyntheticSpec()
-        _check_keys(sub, _SYNTH_KEYS, subpath)
-        try:
-            spec = SyntheticSpec(**{
-                k: _get(sub, k, _NUM if k in _SYNTH_FLOATS else [int],
-                        subpath, getattr(d, k))
-                for k in _SYNTH_KEYS})
-        except ConfigError as e:
-            raise ConfigError(f"data.synthetic: {e}") from None
-        return DataConfig(synthetic=spec)
-    sub, subpath = obj["bank"], path + ".bank."
-    if not isinstance(sub, dict):
-        raise ConfigError(f"{path}.bank: expected an object")
-    _check_keys(sub, _BANK_KINDS, subpath)
-    if "path" not in sub or "num_tasks" not in sub:
-        raise ConfigError(f"{path}.bank: path and num_tasks are required")
-    return DataConfig(synthetic=None, bank=BankSource(**{
-        k: _get(sub, k, kinds, subpath, None)
-        for k, kinds in _BANK_KINDS.items() if k in sub}))
+def _pool_max(val, where: str) -> int | None:
+    if val == "ALL" or val is None:
+        return None
+    if isinstance(val, bool) or not isinstance(val, int):
+        raise ConfigError(f"{where}: wrong type (int, ALL, or null)")
+    return val
 
 
-# the top-level scalar fields and the JSON types each takes, in check order
-_SCALARS = (("tau", _NUM), ("tau_prime", _NUM), ("agg_lambda", _NUM),
-            ("affinity_gamma", _NUM), ("utility_momentum", _NUM),
-            ("kl_epsilon", _NUM), ("lr", _NUM), ("epochs_per_task", [int]),
-            ("batch_size", [int]), ("seed", [int]), ("replay", [bool]),
-            ("replay_full_cov", [bool]), ("distill", [str]),
-            ("classifier", [str]))
-_TOP_KEYS = tuple(k for k, _ in _SCALARS) + ("pool_max", "beta", "encoder",
-                                              "data")
+def _beta(val, where: str) -> float | str:
+    if isinstance(val, bool) or not isinstance(val, (int, float, str)):
+        raise ConfigError(f"{where}: wrong type (number or schedule name)")
+    return val if isinstance(val, str) else _number(val, where)
+
+
+def _synthetic(val, where: str) -> SyntheticSpec:
+    got = _fields(SyntheticSpec, val, where)
+    try:
+        return SyntheticSpec(**got)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}") from None
+
+
+def _data(val, where: str) -> DataConfig:
+    got = _fields(DataConfig, val, where, synthetic=_synthetic,
+                  bank=lambda v, p: BankSource(**_fields(BankSource, v, p)))
+    return DataConfig(**{"synthetic": None, **got})
 
 
 def parse_config(obj) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON object."""
-    if not isinstance(obj, dict):
-        raise ConfigError("config: expected a JSON object")
-    _check_keys(obj, _TOP_KEYS, "")
-    d = RunConfig()
-    pool_max = obj.get("pool_max", d.pool_max)
-    if pool_max == "ALL" or pool_max is None:
-        pool_max = None
-    elif isinstance(pool_max, bool) or not isinstance(pool_max, int):
-        raise ConfigError("pool_max: wrong type (int, ALL, or null)")
-    beta = obj.get("beta", d.beta)
-    if not isinstance(beta, (int, float, str)) or isinstance(beta, bool):
-        raise ConfigError("beta: wrong type (number or schedule name)")
-    if isinstance(beta, (int, float)):
-        beta = float(beta)
-    fields = {}
-    for key, kinds in _SCALARS:
-        val = _get(obj, key, kinds, "", getattr(d, key))
-        fields[key] = float(val) if kinds is _NUM else val
-    return RunConfig(
-        pool_max=pool_max, beta=beta, **fields,
-        encoder=_parse_encoder(obj["encoder"], "encoder")
-        if "encoder" in obj else EncoderConfig(),
-        data=_parse_data(obj["data"], "data") if "data" in obj else DataConfig(),
-    )
+    return RunConfig(**_fields(
+        RunConfig, obj, "", pool_max=_pool_max, beta=_beta,
+        encoder=lambda v, p: EncoderConfig(**_fields(EncoderConfig, v, p)),
+        data=_data))
 
 
 def load_config(path) -> RunConfig:

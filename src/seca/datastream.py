@@ -70,10 +70,6 @@ class TaskStream:
         if seen != set(self.names):
             raise ValueError("name manifest must cover exactly the stream classes")
 
-    @property
-    def num_tasks(self) -> int:
-        return len(self.tasks)
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:

@@ -44,9 +44,6 @@ class ReplayStore:
     dim: int
     classes: dict[int, ClassGaussian] = field(default_factory=dict)
 
-    def __contains__(self, class_id: int) -> bool:
-        return class_id in self.classes
-
     @property
     def class_ids(self) -> tuple[int, ...]:
         return tuple(sorted(self.classes))

@@ -81,6 +81,35 @@ class TestTrain:
                          "--out", str(tmp_path / "o")]) == 2
         assert "batch_sizes" in capsys.readouterr().err
 
+    def test_non_finite_config_exits_2(self, tmp_path, capsys):
+        # NaN noise once trained on noise-free data and exited 0
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"data": {"synthetic": {"noise": NaN}}}')
+        assert cli.main(["train", "--config", str(bad),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert "data.synthetic.noise: must be finite" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_seeds_exit_2(self, cfg_path, tmp_path, capsys):
+        neg_init = tmp_path / "init.json"
+        neg_init.write_text(json.dumps({**TINY, "seed": -1}))
+        neg_data = tmp_path / "data.json"
+        neg_data.write_text(json.dumps({**TINY, "data": {"synthetic": {
+            **TINY["data"]["synthetic"], "seed": -3}}}))
+        out = str(tmp_path / "o")
+        for argv, seed in (
+                (["train", "--config", str(neg_init), "--out", out], -1),
+                (["train", "--config", str(neg_data), "--out", out], -3),
+                (["train", "--config", str(cfg_path), "--seed", "-2",
+                  "--out", out], -2),
+                (["theory-check", "--seed", "-2", "--out", out], -2)):
+            assert cli.main(argv) == 2
+            assert f"seed: {seed} must be non-negative" \
+                in capsys.readouterr().err
+            assert not (tmp_path / "o" / "summary.json").exists()
+            assert not (tmp_path / "o" / "theory.json").exists()
+
     def test_missing_config_exits_2(self, tmp_path):
         assert cli.main(["train", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "o")]) == 2
@@ -278,14 +307,20 @@ class TestSweep:
 
     @pytest.mark.parametrize("param", ["beta", "tau_prime", "pool", "width"])
     def test_bad_value_exits_2(self, cfg_path, tmp_path, capsys, param):
-        # a valid token first: every token is checked before any leaf trains
+        # a valid token first: every token is checked before any leaf trains,
+        # for its type, its range and its finiteness alike
         good = {"beta": "0.5", "tau_prime": "1", "pool": "ALL",
                 "width": "2"}[param]
-        out = tmp_path / "o"
-        assert cli.main(["sweep", "--param", param, "--values", good, "some",
-                         "--config", str(cfg_path), "--out", str(out)]) == 2
-        assert f"sweep: bad {param} value 'some'" in capsys.readouterr().err
-        assert not (out / "runs").exists()
+        bad = {"beta": ["some", "-2"], "tau_prime": ["some", "0", "NaN"],
+               "pool": ["some", "0"], "width": ["some", "0"]}[param]
+        for tok in bad:
+            out = tmp_path / tok
+            assert cli.main(["sweep", "--param", param, "--values", good, tok,
+                             "--config", str(cfg_path),
+                             "--out", str(out)]) == 2
+            assert f"sweep: bad {param} value '{tok}'" \
+                in capsys.readouterr().err
+            assert not (out / "runs").exists()
 
     def test_unknown_param_exits_2(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as e:

@@ -4,13 +4,67 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from seca.config import BETA_TASK_INDEX, BankSource, DataConfig, RunConfig, \
     beta_value, build_stream, config_dict, load_config, parse_config
 from seca.datastream import SyntheticSpec, write_feature_bank
 from seca.encoder import EncoderConfig
 from seca.errors import ConfigError
+from seca.sevpr import VARIANTS
+from seca.sgakt import STRATEGIES
 from seca.trainer import state_for_stream
+
+
+def _floats(lo=None, hi=None, **kw):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kw)
+
+
+def _ints(lo, hi=2 ** 64):
+    return st.integers(lo, hi)
+
+
+# every valid value of every field of the four config dataclasses
+_POSITIVE = _floats(0.0, exclude_min=True)
+_NON_NEGATIVE = _floats(0.0)
+_ENCODERS = _ints(1, 512).flatmap(lambda width: st.builds(
+    EncoderConfig, d_v=st.just(width), d_t=st.just(width),
+    layers=_ints(1), adapter_width=_ints(1), prompt_tokens=_ints(1),
+    seed=_ints(0)))
+_SYNTHETIC = st.builds(
+    SyntheticSpec, num_tasks=_ints(1, 20), classes_per_task=_ints(1, 10),
+    dim=_ints(8), superclasses=_ints(1), mean_correlation=_floats(0.0, 1.0),
+    noise=_NON_NEGATIVE, train_per_class=_ints(1), test_per_class=_ints(1),
+    seed=_ints(0))
+_BANKS = st.builds(BankSource, path=st.text(), num_tasks=_ints(1),
+                   train_fraction=_floats(0.0, 1.0, exclude_min=True,
+                                          exclude_max=True),
+                   seed=_ints(0))
+_DATA = st.builds(DataConfig, synthetic=_SYNTHETIC) \
+    | st.builds(DataConfig, synthetic=st.none(), bank=_BANKS)
+_CONFIGS = st.builds(
+    RunConfig, tau=_POSITIVE, tau_prime=_POSITIVE, agg_lambda=_NON_NEGATIVE,
+    affinity_gamma=_NON_NEGATIVE, utility_momentum=_floats(0.0, 1.0),
+    kl_epsilon=_POSITIVE, pool_max=st.none() | _ints(1),
+    beta=_NON_NEGATIVE | st.just(BETA_TASK_INDEX), lr=_POSITIVE,
+    epochs_per_task=_ints(0), batch_size=_ints(1), seed=_ints(0),
+    replay=st.booleans(), replay_full_cov=st.booleans(),
+    distill=st.sampled_from(STRATEGIES), classifier=st.sampled_from(VARIANTS),
+    encoder=_ENCODERS, data=_DATA)
+
+# a config holding a non-finite number, by the path of that number
+_NON_FINITE = {
+    "tau": {"tau": float("nan")},
+    "lr": {"lr": float("inf")},
+    "beta": {"beta": float("-inf")},
+    "agg_lambda": {"agg_lambda": 10 ** 400},  # past the float range
+    "data.synthetic.noise": {"data": {"synthetic": {"noise": float("nan")}}},
+    "data.synthetic.mean_correlation":
+        {"data": {"synthetic": {"mean_correlation": float("inf")}}},
+    "data.bank.train_fraction": {"data": {"bank": {
+        "path": "b.bin", "num_tasks": 2, "train_fraction": float("nan")}}},
+}
 
 
 class TestParse:
@@ -40,6 +94,15 @@ class TestParse:
     def test_number_accepted_where_float_expected(self):
         cfg = parse_config({"tau": 1})
         assert cfg.tau == 1.0 and isinstance(cfg.tau, float)
+        # at every level, not only the top, so the manifest records 1.0
+        cfg = parse_config({"data": {"synthetic": {"noise": 1}}})
+        assert json.dumps(config_dict(cfg)["data"]["synthetic"]["noise"]) \
+            == "1.0"
+
+    @pytest.mark.parametrize("path", list(_NON_FINITE))
+    def test_non_finite_number_rejected(self, path):
+        with pytest.raises(ConfigError, match=f"^{path}: must be finite$"):
+            parse_config(_NON_FINITE[path])
 
     def test_pool_max_all_means_unbounded(self):
         assert parse_config({"pool_max": "ALL"}).pool_max is None
@@ -156,6 +219,11 @@ class TestRoundTrip:
         json.dumps(d)  # plain JSON types only
         assert parse_config(d) == cfg
 
+    @given(_CONFIGS)
+    def test_any_valid_config_round_trips(self, cfg):
+        doc = json.loads(json.dumps(config_dict(cfg), allow_nan=False))
+        assert parse_config(doc) == cfg
+
     def test_bank_round_trip(self):
         cfg = RunConfig(data=DataConfig(
             synthetic=None, bank=BankSource("feat.bin", 3, 0.6, 4)))
@@ -185,7 +253,7 @@ class TestBuildStream:
         cfg = RunConfig(data=DataConfig(synthetic=SyntheticSpec(
             num_tasks=3, classes_per_task=2, dim=8, superclasses=2, seed=5)))
         stream = build_stream(cfg.data)
-        assert stream.num_tasks == 3
+        assert len(stream.tasks) == 3
         assert stream.dim == 8
 
     def test_bank(self, tmp_path):
@@ -198,7 +266,7 @@ class TestBuildStream:
         cfg = RunConfig(data=DataConfig(synthetic=None, bank=BankSource(
             str(path), num_tasks=2, train_fraction=0.5, seed=1)))
         stream = build_stream(cfg.data)
-        assert stream.num_tasks == 2
+        assert len(stream.tasks) == 2
         assert set(stream.names) == set(range(4))
         # the bank's width, 6, disagrees with the default encoder's 64
         with pytest.raises(ConfigError, match=r"data: feature dim 6 must "
