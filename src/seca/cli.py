@@ -209,6 +209,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_theory_check(args) -> int:
+    if args.instances < 1:
+        raise ConfigError(f"--instances: {args.instances} must be at least 1")
     taus = (0.1, 1.0, 10.0)
     rows = []
     for i in range(args.instances):

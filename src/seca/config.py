@@ -84,6 +84,12 @@ class RunConfig:
     data: DataConfig = field(default_factory=DataConfig)
 
     def __post_init__(self):
+        # here as well as in the parser: configs built in code skip the parser
+        for f in fields(self):
+            val = getattr(self, f.name)
+            if "float" in f.type and not isinstance(val, str) \
+                    and not math.isfinite(val):
+                raise ConfigError(f"{f.name}: must be finite")
         positive = ("tau", "tau_prime", "kl_epsilon", "lr", "batch_size")
         for name in positive:
             if getattr(self, name) <= 0:

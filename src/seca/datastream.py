@@ -15,6 +15,7 @@ names, each in its own digest-checked frame.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -90,6 +91,9 @@ class SyntheticSpec:
                       "train_per_class", "test_per_class"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be at least 1")
+        for field in ("mean_correlation", "noise"):
+            if not math.isfinite(getattr(self, field)):
+                raise ConfigError(f"{field} must be finite")
         if not 0.0 <= self.mean_correlation <= 1.0:
             raise ConfigError("mean_correlation must lie in [0, 1]")
         if self.noise < 0.0:

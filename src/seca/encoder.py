@@ -3,7 +3,7 @@ and prompt-conditioned text features.
 
 Both towers are seeded random networks frozen at construction. They exist to
 exercise the adaptation machinery on top of a fixed Lipschitz map, not to
-model images or language.
+model images or language. Every weight, frozen or trainable, is float64.
 """
 
 from __future__ import annotations
@@ -31,22 +31,22 @@ class EncoderConfig:
                 raise ConfigError(f"encoder.{name}: must be >= 1")
 
 
-def _affine(rng, n_in: int, n_out: int, dtype):
-    w = (rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)).astype(dtype)
-    b = (0.02 * rng.standard_normal(n_out)).astype(dtype)
+def _affine(rng, n_in: int, n_out: int):
+    w = rng.standard_normal((n_in, n_out)) / np.sqrt(n_in)
+    b = 0.02 * rng.standard_normal(n_out)
     return T.Tensor(w), T.Tensor(b)
 
 
 class VisualBackbone:
     """L frozen residual feed-forward blocks at width d_v."""
 
-    def __init__(self, cfg: EncoderConfig, dtype=np.float64):
+    def __init__(self, cfg: EncoderConfig):
         rng = seeding.rng(cfg.seed, "backbone")
         self.cfg = cfg
         self.blocks = []
         for _ in range(cfg.layers):
-            w1, b1 = _affine(rng, cfg.d_v, 4 * cfg.d_v, dtype)
-            w2, b2 = _affine(rng, 4 * cfg.d_v, cfg.d_v, dtype)
+            w1, b1 = _affine(rng, cfg.d_v, 4 * cfg.d_v)
+            w2, b2 = _affine(rng, 4 * cfg.d_v, cfg.d_v)
             self.blocks.append((w1, b1, w2, b2))
 
     def forward(self, x, adapters: "AdapterStack | None" = None) -> T.Tensor:
@@ -74,7 +74,7 @@ class AdapterStack:
 
     FIELDS = ("down_w", "down_b", "up_w", "up_b")
 
-    def __init__(self, cfg: EncoderConfig, seed: int, dtype=np.float64, _empty=False):
+    def __init__(self, cfg: EncoderConfig, seed: int, _empty=False):
         self.cfg = cfg
         self.layers: list[dict[str, T.Parameter]] = []
         if _empty:
@@ -82,19 +82,13 @@ class AdapterStack:
         rng = seeding.rng(seed, "adapter")
         d, w = cfg.d_v, cfg.adapter_width
         for layer in range(cfg.layers):
-            down_w = (rng.standard_normal((d, w)) / np.sqrt(d)).astype(dtype)
+            down_w = rng.standard_normal((d, w)) / np.sqrt(d)
             self.layers.append(
                 {
                     "down_w": T.Parameter(down_w, name=f"adapter.{layer}.down_w"),
-                    "down_b": T.Parameter(
-                        np.zeros(w, dtype=dtype), name=f"adapter.{layer}.down_b"
-                    ),
-                    "up_w": T.Parameter(
-                        np.zeros((w, d), dtype=dtype), name=f"adapter.{layer}.up_w"
-                    ),
-                    "up_b": T.Parameter(
-                        np.zeros(d, dtype=dtype), name=f"adapter.{layer}.up_b"
-                    ),
+                    "down_b": T.Parameter(np.zeros(w), name=f"adapter.{layer}.down_b"),
+                    "up_w": T.Parameter(np.zeros((w, d)), name=f"adapter.{layer}.up_w"),
+                    "up_b": T.Parameter(np.zeros(d), name=f"adapter.{layer}.up_b"),
                 }
             )
 
@@ -110,9 +104,7 @@ class AdapterStack:
         for layer, params in enumerate(self.layers):
             frozen = {}
             for f in self.FIELDS:
-                frozen[f] = T.Parameter(
-                    params[f].data.copy(), name=f"pool.{layer}.{f}", trainable=False
-                )
+                frozen[f] = T.Parameter(params[f].data.copy(), name=f"pool.{layer}.{f}")
                 frozen[f].freeze()
             clone.layers.append(frozen)
         return clone
@@ -127,38 +119,24 @@ class AdapterStack:
 class TextEncoder:
     """Frozen mixer from pooled tokens to a unit-norm text feature."""
 
-    def __init__(self, cfg: EncoderConfig, dtype=np.float64):
+    def __init__(self, cfg: EncoderConfig):
         rng = seeding.rng(cfg.seed, "text")
         self.cfg = cfg
-        self.w1, self.b1 = _affine(rng, cfg.d_t, 4 * cfg.d_t, dtype)
-        self.w2, self.b2 = _affine(rng, 4 * cfg.d_t, cfg.d_t, dtype)
-
-    def weight_arrays(self) -> list[np.ndarray]:
-        return [self.w1.data, self.b1.data, self.w2.data, self.b2.data]
-
-    def checksum(self) -> str:
-        return T.checksum(self.weight_arrays())
+        self.w1, self.b1 = _affine(rng, cfg.d_t, 4 * cfg.d_t)
+        self.w2, self.b2 = _affine(rng, 4 * cfg.d_t, cfg.d_t)
 
 
 class PromptBank:
     """Trainable per-task prompts plus the frozen class-token table."""
 
-    def __init__(
-        self,
-        cfg: EncoderConfig,
-        class_ids: list[int],
-        registry_seed: int,
-        dtype=np.float64,
-    ):
+    def __init__(self, cfg: EncoderConfig, class_ids: list[int], registry_seed: int):
         self.cfg = cfg
         self.class_ids = sorted(int(c) for c in class_ids)
         if len(set(self.class_ids)) != len(self.class_ids):
             raise ConfigError("class registry contains duplicate ids")
         self.index = {c: i for i, c in enumerate(self.class_ids)}
         rng = seeding.rng(registry_seed, "tokens")
-        table = (
-            rng.standard_normal((len(self.class_ids), cfg.d_t)) / np.sqrt(cfg.d_t)
-        ).astype(dtype)
+        table = rng.standard_normal((len(self.class_ids), cfg.d_t)) / np.sqrt(cfg.d_t)
         self.token_table = T.Tensor(table)
         self.prompts: dict[int, T.Parameter] = {}
 
@@ -166,12 +144,8 @@ class PromptBank:
         if task in self.prompts:
             raise ConfigError(f"prompt for task {task} already exists")
         rng = seeding.rng(seed, "prompt", task)
-        p = T.Parameter(
-            (0.02 * rng.standard_normal((self.cfg.prompt_tokens, self.cfg.d_t))).astype(
-                self.token_table.data.dtype
-            ),
-            name=f"prompt.{task}",
-        )
+        shape = (self.cfg.prompt_tokens, self.cfg.d_t)
+        p = T.Parameter(0.02 * rng.standard_normal(shape), name=f"prompt.{task}")
         self.prompts[task] = p
         return p
 

@@ -105,9 +105,9 @@ class AffinityModel:
         self.gamma = float(gamma)
 
     @classmethod
-    def create(cls, cfg: EncoderConfig, seed: int, gamma: float, dtype=np.float64):
+    def create(cls, cfg: EncoderConfig, seed: int, gamma: float):
         rng = seeding.rng(seed, "affinity")
-        h = (rng.standard_normal((cfg.d_t, cfg.d_t)) / np.sqrt(cfg.d_t)).astype(dtype)
+        h = rng.standard_normal((cfg.d_t, cfg.d_t)) / np.sqrt(cfg.d_t)
         return cls(T.Parameter(h, name="affinity.h_proj"), gamma)
 
     def parameters(self) -> list[T.Parameter]:
@@ -175,9 +175,8 @@ def snapshot_prototypes(bank: PrototypeBank) -> None:
 class LinearHead:
     """Per-task affine blocks over adapted features, zero-initialized."""
 
-    def __init__(self, dim: int, dtype=np.float64):
+    def __init__(self, dim: int):
         self.dim = int(dim)
-        self.dtype = dtype
         self.blocks: dict[int, tuple[T.Parameter, T.Parameter]] = {}
         self.block_ids: dict[int, tuple[int, ...]] = {}
 
@@ -186,8 +185,8 @@ class LinearHead:
             raise ConfigError(f"head block for task {task} already exists")
         c = len(class_ids)
         self.blocks[task] = (
-            T.Parameter(np.zeros((c, self.dim), dtype=self.dtype), name=f"head.{task}.w"),
-            T.Parameter(np.zeros(c, dtype=self.dtype), name=f"head.{task}.b"),
+            T.Parameter(np.zeros((c, self.dim)), name=f"head.{task}.w"),
+            T.Parameter(np.zeros(c), name=f"head.{task}.b"),
         )
         self.block_ids[task] = tuple(int(k) for k in class_ids)
 

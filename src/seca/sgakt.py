@@ -93,13 +93,13 @@ class SemanticProjectors:
     w_v: T.Parameter
 
     @classmethod
-    def create(cls, cfg: EncoderConfig, seed: int, dtype=np.float64):
+    def create(cls, cfg: EncoderConfig, seed: int):
         rng = seeding.rng(seed, "projectors")
         w_s = (rng.standard_normal((cfg.d_t, cfg.d_v)) / np.sqrt(cfg.d_t))
         w_v = (rng.standard_normal((cfg.d_v, cfg.d_v)) / np.sqrt(cfg.d_v))
         return cls(
-            w_s=T.Parameter(w_s.astype(dtype), name="proj.w_s"),
-            w_v=T.Parameter(w_v.astype(dtype), name="proj.w_v"),
+            w_s=T.Parameter(w_s, name="proj.w_s"),
+            w_v=T.Parameter(w_v, name="proj.w_v"),
         )
 
     def parameters(self) -> list[T.Parameter]:
@@ -113,7 +113,6 @@ class RelevanceResult:
     alpha: T.Tensor
     weights: T.Tensor
     v_agg: T.Tensor
-    views: list[T.Tensor]
 
 
 def pooled_views(backbone: VisualBackbone, x, pool: AdapterPool) -> list[T.Tensor]:
@@ -161,7 +160,7 @@ def aggregate(views: list[T.Tensor], alpha: T.Tensor, lam: float) -> RelevanceRe
         raise ValueError("one score column per view required")
     weights = T.softmax_temp(T.mul(alpha, float(lam)), 1.0)
     v_agg = T.blend(views, weights)
-    return RelevanceResult(alpha=alpha, weights=weights, v_agg=v_agg, views=views)
+    return RelevanceResult(alpha=alpha, weights=weights, v_agg=v_agg)
 
 
 def loss_agg(v_agg: T.Tensor, text_feats: T.Tensor, ys_local, tau: float) -> T.Tensor:

@@ -1,8 +1,9 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
 A deliberately small kernel: 1-D vectors and 2-D row batches, float32 or
-float64, with exactly the operations the losses need. Graphs are built
-eagerly; ``backward`` on a scalar accumulates gradients into leaves.
+float64, with exactly the operations the losses need. Ops are plain
+functions (``add(a, b)``); a Tensor has no operator protocol. Graphs are
+built eagerly; ``backward`` on a scalar accumulates gradients into leaves.
 ``no_grad`` switches graph construction off for the current thread, which
 is how frozen forwards (pool views, teachers, evaluation) and the
 finite-difference probes stay plain numpy: under it an op's output is built
@@ -95,8 +96,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         _ensure_finite(arr)
@@ -105,14 +106,6 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable | None = None
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
 
     def detach(self) -> "Tensor":
         return Tensor(self.data)
@@ -140,41 +133,6 @@ class Tensor:
             if not isinstance(node, Parameter) and node is not self:
                 node.grad = None  # free intermediate buffers early
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def __rsub__(self, other):
-        return add(mul(self, -1.0), other)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, shape):
-        return reshape(self, shape)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -182,11 +140,10 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf. Gradient buffer always exists and accumulates."""
 
-    __slots__ = ("trainable", "name")
+    __slots__ = ("name",)
 
-    def __init__(self, data, name: str | None = None, trainable: bool = True, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
-        self.trainable = trainable
+    def __init__(self, data, name: str | None = None):
+        super().__init__(data, requires_grad=True)
         self.name = name
         self.grad = np.zeros_like(self.data)
 
@@ -194,7 +151,6 @@ class Parameter(Tensor):
         self.grad[...] = 0.0
 
     def freeze(self) -> None:
-        self.trainable = False
         self.requires_grad = False
 
 
@@ -1035,7 +991,6 @@ def checksum(arrays: Iterable[np.ndarray]) -> str:
 @dataclass
 class GradCheckReport:
     tol: float
-    loss: float
     per_param: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -1076,12 +1031,11 @@ def grad_check(
     loss = loss_fn()
     if loss.data.size != 1:
         raise ValueError("grad_check expects a scalar loss")
-    loss_value = float(loss.data)
     loss.backward()
     analytic = {n: np.array(p.grad, dtype=np.float64) for n, p in named}
 
     originals = {n: p.data for n, p in named}
-    report = GradCheckReport(tol=tol, loss=loss_value)
+    report = GradCheckReport(tol=tol)
     try:
         with no_grad():
             for _, p in named:

@@ -60,7 +60,7 @@ class Adam:
 
     def step(self, params) -> None:
         for p in params:
-            if not p.trainable:
+            if not p.requires_grad:
                 continue
             slot = self.slots.get(p.name)
             if slot is None:

@@ -114,7 +114,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(tmp_path / "none.json"),
                          "--out", str(tmp_path / "o")]) == 2
 
-    def test_missing_bank_exits_3(self, tmp_path):
+    def test_missing_bank_exits_3(self, tmp_path, capsys):
         cfg = tmp_path / "bank.json"
         cfg.write_text(json.dumps({
             "data": {"bank": {"path": str(tmp_path / "absent.bin"),
@@ -122,6 +122,17 @@ class TestTrain:
         }))
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 3
+        # a bank whose class 3 has one sample, which cannot be split
+        write_feature_bank(tmp_path / "b.bin", np.ones((7, 64)),
+                           np.array([0, 0, 1, 1, 2, 2, 3]),
+                           {k: str(k) for k in range(4)})
+        cfg.write_text(json.dumps({
+            "data": {"bank": {"path": str(tmp_path / "b.bin"),
+                              "num_tasks": 2}},
+        }))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "class 3 needs at least 2 samples" in capsys.readouterr().err
 
     @pytest.mark.parametrize("source", ["synthetic", "bank"])
     def test_data_dim_disagreeing_with_encoder_exits_2(self, tmp_path, capsys,
@@ -350,6 +361,14 @@ class TestTheoryCheck:
         doc = json.loads((out / "theory.json").read_text())
         assert doc["all_pass"] is False
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_instances_exits_2(self, tmp_path, capsys, n):
+        out = tmp_path / "th"
+        assert cli.main(["theory-check", "--out", str(out),
+                         "--instances", str(n)]) == 2
+        assert "--instances" in capsys.readouterr().err
+        assert not (out / "theory.json").exists()
+
 
 class TestGenData:
     def test_bank_round_trips_into_training(self, cfg_path, tmp_path):
@@ -366,7 +385,10 @@ class TestGenData:
         bank_cfg.write_text(json.dumps(cfg))
         assert cli.main(["train", "--config", str(bank_cfg),
                          "--out", str(tmp_path / "run")]) == 0
-
+        # a bank cannot be generated from a bank
+        assert cli.main(["gen-data", "--config", str(bank_cfg),
+                         "--out", str(tmp_path / "gen2")]) == 2
+        assert not (tmp_path / "gen2").exists()
 
     def test_damaged_bank_exits_3(self, cfg_path, tmp_path):
         gen = tmp_path / "gen"
@@ -462,8 +484,14 @@ class TestReport:
                          "--out", str(tmp_path / "o")]) == 3
         assert "malformed run outputs" in capsys.readouterr().err
 
-    def test_missing_manifest_exits_3(self, tmp_path):
+    def test_missing_manifest_exits_3(self, train_dir, tmp_path, capsys):
         empty = tmp_path / "empty"
         empty.mkdir()
         assert cli.main(["report", "--in", str(empty),
                          "--out", str(tmp_path / "o")]) == 3
+        # a manifest with neither rows.json nor summary.json beside it
+        (empty / "manifest.json").write_bytes(
+            (train_dir / "manifest.json").read_bytes())
+        assert cli.main(["report", "--in", str(empty),
+                         "--out", str(tmp_path / "o")]) == 3
+        assert "no rows.json or summary.json" in capsys.readouterr().err

@@ -160,6 +160,19 @@ class TestValidation:
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
 
+    @pytest.mark.parametrize("cls,field", [
+        (RunConfig, "tau"), (RunConfig, "tau_prime"), (RunConfig, "agg_lambda"),
+        (RunConfig, "affinity_gamma"), (RunConfig, "utility_momentum"),
+        (RunConfig, "kl_epsilon"), (RunConfig, "beta"), (RunConfig, "lr"),
+        (SyntheticSpec, "mean_correlation"), (SyntheticSpec, "noise"),
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_rejected_when_built_in_code(self, cls, field, value):
+        # configs built in code never pass the parser's finiteness check
+        with pytest.raises(ConfigError, match=f"^{field}:? must be finite$"):
+            cls(**{field: value})
+
     def test_tower_widths_must_agree(self):
         with pytest.raises(ConfigError, match="d_t"):
             RunConfig(encoder=EncoderConfig(d_v=32, d_t=16))

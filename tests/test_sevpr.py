@@ -97,7 +97,7 @@ class TestRawPrototypes:
         with pytest.raises(ValueError):
             bank.raw[0][0] = 5.0
         raw_prototypes(bank, backbone, x[:2], np.array([2, 2]), [2])
-        assert T.checksum([bank.raw[0], bank.raw[1]]) != before or True
+        assert T.checksum([bank.raw[0], bank.raw[1]]) == before
         assert raw_digest(bank) != before  # new class extends the digest
         assert np.array_equal(bank.raw_matrix([0, 1]),
                               np.stack([bank.raw[0], bank.raw[1]]))

@@ -350,7 +350,7 @@ class TestGradientRouting:
         total.backward()
         for stack in pool.stacks:
             for p in stack.parameters():
-                assert not p.trainable
+                assert not p.requires_grad
         assert pool.checksums() == before
 
 
@@ -538,12 +538,14 @@ class TestTeacherViews:
         assert len(views) == (3 if strategy in ("avg_kd", "sg_akt") else 1)
         for n in range(2, 65):
             idx = rng.permutation(130)[:n]
-            want = teacher_result(strategy, backbone, x[idx], pool, sem,
-                                  ys[idx], projectors, 1.0)
-            got = teacher_blend(strategy, [T.Tensor(v.data[idx]) for v in views],
-                                sem, ys[idx], projectors, 1.0)
-            for a, b in zip(want.views, got.views):
+            with T.no_grad():
+                batch_views = teacher_views(strategy, backbone, x[idx], pool)
+            taken = [T.Tensor(v.data[idx]) for v in views]
+            for a, b in zip(batch_views, taken, strict=True):
                 assert a.data.tobytes() == b.data.tobytes(), n
+            want = teacher_blend(strategy, batch_views, sem, ys[idx],
+                                 projectors, 1.0)
+            got = teacher_blend(strategy, taken, sem, ys[idx], projectors, 1.0)
             assert want.alpha.data.tobytes() == got.alpha.data.tobytes(), n
             assert want.v_agg.data.tobytes() == got.v_agg.data.tobytes(), n
 

@@ -765,7 +765,7 @@ class TestPlumbing:
 
     def test_float32_overflow_raises(self):
         with np.errstate(over="ignore"), pytest.raises(NumericsError):
-            T.Tensor(np.array([1e39, 1.0]), dtype=np.float32)
+            T.Tensor(np.array([1e39, 1.0]).astype(np.float32))
 
     def test_first_gradient_is_a_fresh_positive_zero_buffer(self):
         a = T.Tensor(np.ones(3), requires_grad=True)

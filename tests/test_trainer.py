@@ -510,7 +510,7 @@ class TestTrainTask:
         train_task(state, stream.tasks[0])
         assert state.task == 1
         assert state.adapter.checksum() == adapter_sum
-        assert not state.prompts.prompts[1].trainable
+        assert not state.prompts.prompts[1].requires_grad
         assert len(state.pool) == 1
         ids = set(stream.tasks[0].class_ids)
         assert set(state.protos.raw) == ids
