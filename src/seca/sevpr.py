@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import seeding, tensor as T
-from .encoder import EncoderConfig, clip_logits
+from .encoder import EncoderConfig, clip_logits, text_features
 from .errors import ConfigError, ProtocolError
 
 VARIANTS = ("only_text", "centroid_clip", "centroid_adapted", "linear", "se_vpr")
@@ -36,20 +36,13 @@ class PrototypeBank:
         self.refined_current: dict[int, np.ndarray] = {}
         self.refined_snapshot: dict[int, np.ndarray] = {}
 
-    def _matrix(self, store: dict[int, np.ndarray], class_ids, what: str):
-        missing = [k for k in class_ids if int(k) not in store]
+    def matrix(self, store: str, class_ids) -> np.ndarray:
+        """One row of the named store per class id, in the order given."""
+        rows = getattr(self, store)
+        missing = [k for k in class_ids if int(k) not in rows]
         if missing:
-            raise ProtocolError(f"no {what} prototype for classes {missing}")
-        return np.stack([store[int(k)] for k in class_ids])
-
-    def raw_matrix(self, class_ids) -> np.ndarray:
-        return self._matrix(self.raw, class_ids, "raw")
-
-    def adapted_matrix(self, class_ids) -> np.ndarray:
-        return self._matrix(self.adapted, class_ids, "adapted")
-
-    def snapshot_matrix(self, class_ids) -> np.ndarray:
-        return self._matrix(self.refined_snapshot, class_ids, "snapshot")
+            raise ProtocolError(f"no {store} prototype for classes {missing}")
+        return np.stack([rows[int(k)] for k in class_ids])
 
     def set_refined(self, class_ids, refined) -> None:
         refined = refined.data if isinstance(refined, T.Tensor) else np.asarray(refined)
@@ -197,54 +190,112 @@ class LinearHead:
             out.extend(self.block_ids[task])
         return tuple(out)
 
-    def logits(self, f: T.Tensor) -> T.Tensor:
+    def columns(self, class_ids) -> np.ndarray:
+        """The head's column of each class id, in the order given."""
+        cols = {k: i for i, k in enumerate(self.class_ids)}
+        try:
+            return np.array([cols[int(k)] for k in class_ids], dtype=np.int64)
+        except KeyError as e:
+            raise ProtocolError(
+                f"linear head has no column for class {e.args[0]}") from None
+
+    def logits(self, f: T.Tensor, cols) -> T.Tensor:
+        """Logits of the head columns cols: rows of the stacked blocks."""
         if not self.blocks:
             raise ProtocolError("linear head has no task blocks yet")
-        cols = []
+        blocks = []
         for task in sorted(self.blocks):
             w, b = self.blocks[task]
-            cols.append(T.transpose(T.add(T.matmul(f, T.transpose(w)), b)))
-        return T.transpose(T.concat_rows(cols))
+            blocks.append(T.transpose(T.add(T.matmul(f, T.transpose(w)), b)))
+        return T.transpose(T.take_rows(T.concat_rows(blocks), cols))
 
     def parameters(self) -> list[T.Parameter]:
         return [p for task in sorted(self.blocks) for p in self.blocks[task]]
 
 
-def classifier_variant(
-    kind: str,
-    *,
-    f_adapted: T.Tensor,
-    bank: PrototypeBank,
-    class_ids,
-    tau: float,
-    refined: T.Tensor | None = None,
-    head: LinearHead | None = None,
-) -> T.Tensor | None:
-    """Visual-branch probabilities over class_ids under one classifier design.
+class VisualBranch:
+    """The visual classifier of one variant: the one code that names them.
 
-    only_text has no visual branch and returns None; the caller drops the
-    visual term. linear takes the head's columns of class_ids, in order;
-    se_vpr scores against ``refined``, one row per class id.
+    only_text has none; centroid_clip and centroid_adapted score against
+    class means, linear against head columns and se_vpr against the raw
+    means of ``mixed`` (class_ids by default) mixed by the live prompt's
+    text affinity, anchoring the refined ``past`` rows to their snapshot.
+    A branch serves one task's training or one scorer of the trainer's
+    ``state``, so its target is built once.
     """
-    if kind not in VARIANTS:
-        raise ConfigError(f"unknown classifier variant {kind!r}")
-    if kind == "only_text":
-        return None
-    if kind == "centroid_clip":
-        return visual_prob(f_adapted, bank.raw_matrix(class_ids), tau)
-    if kind == "centroid_adapted":
-        return visual_prob(f_adapted, bank.adapted_matrix(class_ids), tau)
-    if kind == "linear":
-        if head is None:
-            raise ConfigError("linear variant needs a head")
-        cols = {k: i for i, k in enumerate(head.class_ids)}
-        try:
-            idx = np.array([cols[int(k)] for k in class_ids], dtype=np.int64)
-        except KeyError as e:
-            raise ProtocolError(
-                f"linear head has no column for class {e.args[0]}") from None
-        logits = T.transpose(T.take_rows(T.transpose(head.logits(f_adapted)), idx))
-        return T.softmax_temp(logits, 1.0)
-    if refined is None:
-        raise ConfigError("se_vpr variant needs refined prototypes")
-    return visual_prob(f_adapted, refined, tau)
+
+    def __init__(self, state, class_ids, mixed=None, past=()):
+        kind = state.cfg.classifier
+        if kind not in VARIANTS:
+            raise ConfigError(f"unknown classifier variant {kind!r}")
+        self.kind, self.state, self.snapshot = kind, state, None
+        bank = state.protos
+        if kind == "centroid_clip":
+            self.target = bank.matrix("raw", class_ids)
+        elif kind == "centroid_adapted":
+            self.target = bank.matrix("adapted", class_ids)
+        elif kind == "linear":
+            self.target = state.head.columns(class_ids)
+        elif kind == "se_vpr":
+            self.mixed = list(class_ids if mixed is None else mixed)
+            self.raw = bank.matrix("raw", self.mixed)
+            row = {k: i for i, k in enumerate(self.mixed)}
+            self.rows = np.array([row[k] for k in class_ids], np.int64)
+            if past:
+                self.past_rows = np.array([row[k] for k in past], np.int64)
+                self.snapshot = bank.matrix("refined_snapshot", past)
+
+    @staticmethod
+    def new_head(kind: str, dim: int) -> LinearHead | None:
+        return LinearHead(dim) if kind == "linear" else None
+
+    @staticmethod
+    def write_task(state, x, y, class_ids) -> None:
+        """A new task's raw means, and adapted means or a head block."""
+        raw_prototypes(state.protos, state.backbone, x, y, class_ids)
+        if state.cfg.classifier == "centroid_adapted":
+            adapted_prototypes(state.protos, state.backbone, state.adapter, x,
+                               y, class_ids)
+        elif state.cfg.classifier == "linear":
+            state.head.add_task(state.task, class_ids)
+
+    def refine(self) -> None:
+        """se_vpr: mix the raw means by the live prompt's text affinity."""
+        if self.kind == "se_vpr":
+            st = self.state
+            z = text_features(st.text_enc, st.prompts, self.mixed,
+                              st.prompts.prompts[st.task])
+            m = affinity_matrix(z, st.affinity.h_proj, st.affinity.gamma)
+            self.refined = refine_prototypes(m, self.raw)
+
+    def probs(self, f: T.Tensor, tau: float) -> T.Tensor | None:
+        """Visual probabilities of the features f, or None for only_text."""
+        if self.kind == "only_text":
+            return None
+        if self.kind == "linear":
+            return T.softmax_temp(self.state.head.logits(f, self.target), 1.0)
+        if self.kind == "se_vpr":
+            return visual_prob(f, T.take_rows(self.refined, self.rows), tau)
+        return visual_prob(f, self.target, tau)
+
+    def add_terms(self, loss: T.Tensor, f: T.Tensor, ys_local, tau: float,
+                  replay: bool = False) -> T.Tensor:
+        """loss plus the visual cross entropy of f; a training batch, not a
+        replayed one, refines se_vpr first and adds the past rows' drift."""
+        if not replay:
+            self.refine()
+        vis = self.probs(f, tau)
+        if vis is not None:
+            loss = T.add(loss, T.cross_entropy_rows(vis, ys_local))
+        if self.snapshot is not None and not replay:
+            loss = T.add(loss, loss_reg(T.take_rows(self.refined, self.past_rows),
+                                        self.snapshot))
+        return loss
+
+    def finish_task(self) -> None:
+        """se_vpr: store the refinement by the final prompt, and snapshot it."""
+        if self.kind == "se_vpr":
+            with T.no_grad():
+                self.refine()
+            self.state.protos.set_refined(self.mixed, self.refined.data)
+            snapshot_prototypes(self.state.protos)

@@ -188,41 +188,60 @@ def loss_sgakt(
     return T.kl_div_rows(teacher, student, eps)
 
 
-def teacher_views(strategy: str, backbone: VisualBackbone, x,
-                  pool: AdapterPool) -> list[T.Tensor] | None:
-    """The frozen views the strategy's teacher blends, or None for no teacher.
+class Teacher:
+    """A strategy's teacher over fixed rows: the one code that names them.
 
-    Each view maps x row by row, so a caller may compute the views of many
-    rows once and take a batch's rows of them.
+    seq has none; clip_kd distills the adapter-free encoder, vanilla the
+    newest pool entry, avg_kd the even blend of every entry and sg_akt the
+    blend by learned relevance, so avg_kd is sg_akt with zero scores. There
+    is no teacher while the pool is empty. The views of every row of x are
+    built once, and so are sg_akt's past semantic blocks when ``text`` is
+    (text encoder, prompt bank, support classes, live task).
     """
-    if strategy not in STRATEGIES:
-        raise ConfigError(f"unknown distillation strategy {strategy!r}")
-    if strategy == "seq":
-        return None
-    if strategy in POOL_STRATEGIES:
-        return pooled_views(backbone, x, pool)
-    if strategy == "clip_kd":
-        return [backbone.forward(x, None)]
-    if len(pool) == 0:  # vanilla before any task has finished
-        return None
-    return [backbone.forward(x, pool.stacks[-1])]
 
+    def __init__(self, strategy: str, backbone: VisualBackbone, x,
+                 pool: AdapterPool, text=None):
+        if strategy not in STRATEGIES:
+            raise ConfigError(f"unknown distillation strategy {strategy!r}")
+        self.strategy, self.entries, self.text = strategy, len(pool), text
+        self.views = self.past = None
+        if strategy == "seq" or len(pool) == 0:
+            return
+        with T.no_grad():
+            if strategy in POOL_STRATEGIES:
+                views = pooled_views(backbone, x, pool)
+            elif strategy == "clip_kd":
+                views = [backbone.forward(x, None)]
+            else:
+                views = [backbone.forward(x, pool.stacks[-1])]
+            if strategy == "sg_akt" and text is not None:
+                text_enc, bank, class_ids, task = text
+                self.past = semantic_vectors(text_enc, bank, class_ids,
+                                             task - 1)
+        self.views = [v.data for v in views]
 
-def teacher_blend(strategy: str, views: list[T.Tensor], sem, ys_local,
-                  projectors: SemanticProjectors, lam: float) -> RelevanceResult:
-    """The teacher feature from its views: learned scores for sg_akt only.
-
-    Every strategy flows through the same aggregation path; they differ
-    only in which views enter and whether the scores are learned. That
-    makes avg_kd literally the zero-score special case of sg_akt, and
-    vanilla/clip_kd the single-view special cases.
-    """
-    if strategy == "sg_akt":
-        alpha = relevance_scores(sem, views, ys_local, projectors)
-    else:
-        n = views[0].data.shape[0]
-        alpha = T.Tensor(np.zeros((n, len(views)), dtype=views[0].data.dtype))
-    return aggregate(views, alpha, lam)
+    def batch(self, idx, ys_local, projectors: SemanticProjectors, lam: float,
+              sem=None) -> tuple[RelevanceResult | None, np.ndarray]:
+        """The teacher of the rows idx and one utility score per pool entry:
+        the batch-mean raw relevance if the teacher blends the pool, else 0.
+        sg_akt's blocks are ``sem``, or the past ones plus the live one."""
+        if self.views is None:
+            return None, np.zeros(self.entries)
+        views = [T.Tensor(v[idx]) for v in self.views]
+        if self.strategy == "sg_akt":
+            if sem is None:
+                # the live block is a node apart from the text classifier's,
+                # so that the prompt's gradient adds up in one order
+                text_enc, bank, class_ids, task = self.text
+                sem = self.past + [text_features(text_enc, bank, class_ids,
+                                                 bank.prompts[task])]
+            alpha = relevance_scores(sem, views, ys_local, projectors)
+        else:
+            n = views[0].data.shape[0]
+            alpha = T.Tensor(np.zeros((n, len(views)), dtype=views[0].data.dtype))
+        res = aggregate(views, alpha, lam)
+        return res, (alpha.data.mean(axis=0) if self.strategy in POOL_STRATEGIES
+                     else np.zeros(self.entries))
 
 
 def teacher_result(strategy: str, backbone: VisualBackbone, x,
@@ -230,7 +249,5 @@ def teacher_result(strategy: str, backbone: VisualBackbone, x,
                    projectors: SemanticProjectors,
                    lam: float) -> RelevanceResult | None:
     """The strategy's teacher feature for the rows x, or None for no teacher."""
-    views = teacher_views(strategy, backbone, x, pool)
-    if views is None:
-        return None
-    return teacher_blend(strategy, views, sem, ys_local, projectors, lam)
+    teacher = Teacher(strategy, backbone, x, pool)
+    return teacher.batch(slice(None), ys_local, projectors, lam, sem)[0]

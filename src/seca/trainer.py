@@ -24,12 +24,9 @@ from .encoder import AdapterStack, PromptBank, TextEncoder, VisualBackbone, \
 from .errors import ConfigError, DataFormatError, ProtocolError
 from .replay import ClassGaussian, ReplayStore, draw_pseudo_batch, \
     fit_gaussians, replay_losses
-from .sevpr import AffinityModel, LinearHead, PrototypeBank, \
-    adapted_prototypes, affinity_matrix, classifier_variant, loss_reg, \
-    raw_prototypes, refine_prototypes, snapshot_prototypes
-from .sgakt import POOL_STRATEGIES, AdapterPool, PoolEntry, \
-    SemanticProjectors, loss_agg, loss_sgakt, semantic_vectors, teacher_blend, \
-    teacher_views
+from .sevpr import AffinityModel, LinearHead, PrototypeBank, VisualBranch
+from .sgakt import AdapterPool, PoolEntry, SemanticProjectors, Teacher, \
+    loss_agg, loss_sgakt, semantic_vectors
 
 CKPT_MAGIC = b"SECA-CKPT"
 CKPT_VERSION = 2
@@ -125,7 +122,7 @@ def init_state(cfg: RunConfig, registry_ids, names: dict[int, str],
         projectors=SemanticProjectors.create(enc, cfg.seed),
         affinity=AffinityModel.create(enc, cfg.seed, cfg.affinity_gamma),
         protos=PrototypeBank(enc.d_v),
-        head=LinearHead(enc.d_v) if cfg.classifier == "linear" else None,
+        head=VisualBranch.new_head(cfg.classifier, enc.d_v),
         store=ReplayStore(enc.d_v) if cfg.replay else None,
         optimizer=Adam(cfg.lr),
     )
@@ -149,110 +146,57 @@ def _trainables(state: TrainState) -> list[T.Parameter]:
     return params
 
 
-def _refined(state: TrainState, prompt, ids, raw) -> T.Tensor:
-    z = text_features(state.text_enc, state.prompts, ids, prompt)
-    m = affinity_matrix(z, state.affinity.h_proj, state.cfg.affinity_gamma)
-    return refine_prototypes(m, raw)
-
-
-def _visual(state: TrainState, f, class_ids, tau: float, refined):
-    return classifier_variant(state.cfg.classifier, f_adapted=f,
-                              bank=state.protos, class_ids=class_ids, tau=tau,
-                              refined=refined, head=state.head)
-
-
 class TaskContext:
-    """What stays fixed while one task trains, built once per task.
-
-    The backbone, the pool, the past prompts, the support set and the rows
-    do not change within a task. So the teacher views of every row, the
-    past prompts' semantic blocks, the prototype matrices and the index
-    maps are built here, and each step takes its rows of them by index.
-    """
+    """What stays fixed while one task trains, built once per task: the
+    visual targets, the teacher's views and the index maps."""
 
     def __init__(self, state: TrainState, task: TaskData):
         cfg, s = state.cfg, state.task
         self.state, self.x = state, task.train_x
-        self.seen = state.seen_ids()
-        self.support = self.seen if cfg.replay else list(state.seen[-1])
+        seen = state.seen_ids()
+        self.support = seen if cfg.replay else list(state.seen[-1])
         self.pos = {k: i for i, k in enumerate(self.support)}
         self.ys_local = np.array([self.pos[int(y)] for y in task.train_y],
                                  dtype=np.int64)
         self.past = [k for ids in state.seen[:-1] for k in ids]
-        if cfg.classifier == "se_vpr":
-            row = {k: i for i, k in enumerate(self.seen)}
-            self.raw = state.protos.raw_matrix(self.seen)
-            self.sup_rows = np.array([row[k] for k in self.support], np.int64)
-            self.past_rows = np.array([row[k] for k in self.past], np.int64)
-            self.snapshot = state.protos.snapshot_matrix(self.past) \
-                if s > 1 else None
-        views = self.sem = None
-        if s > 1:
-            with T.no_grad():
-                views = teacher_views(cfg.distill, state.backbone, self.x,
-                                      state.pool)
-                if cfg.distill == "sg_akt":
-                    self.sem = semantic_vectors(state.text_enc, state.prompts,
-                                                self.support, s - 1)
-        self.views = None if views is None else [v.data for v in views]
+        self.visual = VisualBranch(state, self.support, seen, self.past)
+        self.teacher = Teacher(cfg.distill, state.backbone, self.x, state.pool,
+                               (state.text_enc, state.prompts, self.support, s))
 
 
-def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray | None]:
-    """Composite loss of the training rows idx plus the mean raw relevance.
-
-    The score vector is None for strategies whose teacher does not span
-    the pool; the caller then applies a pure-decay utility update.
-    """
+def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray]:
+    """Composite loss of the training rows idx, and the teacher's scores."""
     state = ctx.state
     cfg = state.cfg
     s = state.task
-    support = ctx.support
     ys_local = ctx.ys_local[idx]
-    prompt = state.prompts.prompts[s]
 
     f_v = state.backbone.forward(ctx.x[idx], state.adapter)
-    text_sup = text_features(state.text_enc, state.prompts, support, prompt)
+    text_sup = text_features(state.text_enc, state.prompts, ctx.support,
+                             state.prompts.prompts[s])
     probs_t = T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0)
     loss = T.cross_entropy_rows(probs_t, ys_local)
+    loss = ctx.visual.add_terms(loss, f_v, ys_local, cfg.tau)
 
-    refined_all = refined_sup = None
-    if cfg.classifier == "se_vpr":
-        refined_all = _refined(state, prompt, ctx.seen, ctx.raw)
-        refined_sup = T.take_rows(refined_all, ctx.sup_rows)
-    vis = _visual(state, f_v, support, cfg.tau, refined_sup)
-    if vis is not None:
-        loss = T.add(loss, T.cross_entropy_rows(vis, ys_local))
-    if refined_all is not None and s > 1:
-        loss = T.add(loss, loss_reg(T.take_rows(refined_all, ctx.past_rows),
-                                    ctx.snapshot))
-
-    alpha_bar = None
-    if ctx.views is not None:
-        # the active prompt's block is a node of its own, apart from
-        # text_sup, so that the prompt's gradient adds up in one order
-        sem = None if ctx.sem is None else ctx.sem + [text_features(
-            state.text_enc, state.prompts, support, prompt)]
-        res = teacher_blend(cfg.distill, [T.Tensor(v[idx]) for v in ctx.views],
-                            sem, ys_local, state.projectors, cfg.agg_lambda)
+    res, scores = ctx.teacher.batch(idx, ys_local, state.projectors,
+                                    cfg.agg_lambda)
+    if res is not None:
         loss = T.add(loss, loss_agg(res.v_agg, text_sup, ys_local, cfg.tau))
         kl = loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime, cfg.kl_epsilon)
         loss = T.add(loss, T.mul(kl, beta_value(cfg, s)))
-        if cfg.distill in POOL_STRATEGIES:
-            alpha_bar = res.alpha.data.mean(axis=0)
 
     if cfg.replay and s > 1:
         # replay trains on every seen class, so support == seen here
         seed_b = _replay_seed(cfg.seed, state.replay_counter)
         state.replay_counter += 1
         pseudo = draw_pseudo_batch(state.store, ctx.past, cfg.batch_size, seed_b)
-        lt, _ = replay_losses(pseudo, text_sup, None, support, cfg.tau)
+        lt, _ = replay_losses(pseudo, text_sup, None, ctx.support, cfg.tau)
         loss = T.add(loss, lt)
-        vis = _visual(state, T.Tensor(pseudo.x), support, cfg.tau, refined_all)
-        if vis is not None:
-            p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
-            loss = T.add(loss, T.cross_entropy_rows(vis, p_local))
+        p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
+        loss = ctx.visual.add_terms(loss, T.Tensor(pseudo.x), p_local, cfg.tau,
+                                    replay=True)
 
-    return loss, alpha_bar
+    return loss, scores
 
 
 def train_task(state: TrainState, task: TaskData) -> None:
@@ -266,13 +210,7 @@ def train_task(state: TrainState, task: TaskData) -> None:
     s = state.task
     state.seen.append(tuple(new_ids))
     state.prompts.new_prompt(s, cfg.seed)
-    raw_prototypes(state.protos, state.backbone, task.train_x, task.train_y,
-                   new_ids)
-    if cfg.classifier == "centroid_adapted":
-        adapted_prototypes(state.protos, state.backbone, state.adapter,
-                           task.train_x, task.train_y, new_ids)
-    if state.head is not None:
-        state.head.add_task(s, new_ids)
+    VisualBranch.write_task(state, task.train_x, task.train_y, new_ids)
 
     ctx = TaskContext(state, task)
     params = _trainables(state)
@@ -282,22 +220,14 @@ def train_task(state: TrainState, task: TaskData) -> None:
         for start in range(0, n, cfg.batch_size):
             for p in params:
                 p.zero_grad()
-            loss, alpha_bar = batch_loss(ctx, order[start:start + cfg.batch_size])
+            loss, scores = batch_loss(ctx, order[start:start + cfg.batch_size])
             loss.backward()
             state.optimizer.step(params)
-            if len(state.pool) > 0:
-                scores = alpha_bar if alpha_bar is not None \
-                    else np.zeros(len(state.pool))
-                state.pool.update_utilities(scores, cfg.utility_momentum)
+            state.pool.update_utilities(scores, cfg.utility_momentum)
 
     # boundary bookkeeping; order matters for the snapshot semantics
     state.prompts.freeze_task(s)
-    if cfg.classifier == "se_vpr":
-        with T.no_grad():
-            refined = _refined(state, state.prompts.prompts[s], ctx.seen,
-                               ctx.raw)
-        state.protos.set_refined(ctx.seen, refined.data)
-        snapshot_prototypes(state.protos)
+    ctx.visual.finish_task()
     state.pool.admit_and_prune(state.adapter)
     if cfg.replay:
         with T.no_grad():
@@ -315,10 +245,8 @@ def _scorer(state: TrainState):
     ids = sorted(state.seen_ids())
     with T.no_grad():
         feats = semantic_vectors(state.text_enc, state.prompts, ids, state.task)
-        refined = None
-        if cfg.classifier == "se_vpr":
-            refined = _refined(state, state.prompts.prompts[state.task], ids,
-                               state.protos.raw_matrix(ids))
+        visual = VisualBranch(state, ids)
+        visual.refine()
 
     def scores(x) -> np.ndarray:
         with T.no_grad():
@@ -328,7 +256,7 @@ def _scorer(state: TrainState):
                 p = T.softmax_temp(clip_logits(f, z, cfg.tau_prime), 1.0)
                 total = p if total is None else T.add(total, p)
             score = total.data * (1.0 / state.task)
-            vis = _visual(state, f, ids, cfg.tau_prime, refined)
+            vis = visual.probs(f, cfg.tau_prime)
             if vis is not None:
                 score = score + vis.data
         return score

@@ -1,18 +1,21 @@
 """Prototype refinement: affinity mixing, visual classifier, drift anchor."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import seca.tensor as T
-from seca.encoder import AdapterStack, EncoderConfig, VisualBackbone
+from seca.encoder import AdapterStack, EncoderConfig, PromptBank, \
+    TextEncoder, VisualBackbone
 from seca.errors import ConfigError, ProtocolError
 from seca.sevpr import (
     AffinityModel,
     LinearHead,
     PrototypeBank,
+    VisualBranch,
     adapted_prototypes,
     affinity_matrix,
-    classifier_variant,
     loss_ce_v,
     loss_reg,
     mixing_weights,
@@ -99,7 +102,7 @@ class TestRawPrototypes:
         raw_prototypes(bank, backbone, x[:2], np.array([2, 2]), [2])
         assert T.checksum([bank.raw[0], bank.raw[1]]) == before
         assert raw_digest(bank) != before  # new class extends the digest
-        assert np.array_equal(bank.raw_matrix([0, 1]),
+        assert np.array_equal(bank.matrix("raw", [0, 1]),
                               np.stack([bank.raw[0], bank.raw[1]]))
 
 
@@ -289,7 +292,7 @@ class TestSnapshots:
         bank.set_refined([0, 1], np.ones((2, 10)))
         snapshot_prototypes(bank)
         bank.set_refined([0, 1], np.zeros((2, 10)))
-        assert np.all(bank.snapshot_matrix([0, 1]) == 1.0)
+        assert np.all(bank.matrix("refined_snapshot", [0, 1]) == 1.0)
 
     def test_double_snapshot_identical(self):
         bank = PrototypeBank(10)
@@ -311,7 +314,24 @@ class TestSnapshots:
         bank.set_refined([0], np.ones((1, 10)))
         snapshot_prototypes(bank)
         with pytest.raises(ProtocolError):
-            bank.snapshot_matrix([0, 1])
+            bank.matrix("refined_snapshot", [0, 1])
+
+
+def branch_state(kind, bank, head=None, gamma=1.0):
+    """What VisualBranch reads of the trainer's state, at task 1."""
+    prompts = PromptBank(CFG, class_ids=[0, 1, 2], registry_seed=0)
+    prompts.new_prompt(1, seed=0)
+    return SimpleNamespace(cfg=SimpleNamespace(classifier=kind), protos=bank,
+                           head=head, text_enc=TextEncoder(CFG),
+                           prompts=prompts, task=1,
+                           affinity=AffinityModel.create(CFG, 0, gamma))
+
+
+def head_logits(head, f):
+    """Every column of a linear head, computed in numpy."""
+    return np.concatenate([f @ w.data.T + b.data for w, b in
+                           (head.blocks[t] for t in sorted(head.blocks))],
+                          axis=1)
 
 
 class TestClassifierVariants:
@@ -325,40 +345,46 @@ class TestClassifierVariants:
         adapted_prototypes(bank, backbone, stack, x, y, [0, 1, 2])
         return bank, rng.standard_normal((2, CFG.d_v))
 
+    def probs(self, kind, bank, f, class_ids=(0, 1, 2), **kw):
+        branch = VisualBranch(branch_state(kind, bank, **kw), list(class_ids))
+        with T.no_grad():
+            branch.refine()
+            return branch.probs(T.Tensor(f), 0.1)
+
     def test_identity_refinement_equals_centroid_clip(self, backbone):
+        # so large an affinity scale underflows every off-diagonal entry
         bank, f = self.fill_bank(backbone)
-        refined = refine_prototypes(T.Tensor(np.eye(3)), bank.raw_matrix([0, 1, 2]))
-        a = classifier_variant("se_vpr", f_adapted=T.Tensor(f), bank=bank,
-                               class_ids=[0, 1, 2], tau=0.1, refined=refined)
-        b = classifier_variant("centroid_clip", f_adapted=T.Tensor(f), bank=bank,
-                               class_ids=[0, 1, 2], tau=0.1)
+        a = self.probs("se_vpr", bank, f, gamma=1e6)
+        b = self.probs("centroid_clip", bank, f)
         assert np.array_equal(a.data, b.data)
+
+    def test_refinement_reads_the_models_scale(self, backbone):
+        # scale 0 mixes every class into the mean of all: uniform scores;
+        # the state's config carries no scale to read
+        bank, f = self.fill_bank(backbone)
+        p = self.probs("se_vpr", bank, f, gamma=0.0)
+        assert np.all(p.data == 1 / 3)
 
     def test_fresh_adapter_matches_raw_centroids(self, backbone):
         # zero-initialized up-projections make the adapted encoder identical
         bank, f = self.fill_bank(backbone)
-        a = classifier_variant("centroid_adapted", f_adapted=T.Tensor(f),
-                               bank=bank, class_ids=[0, 1, 2], tau=0.1)
-        b = classifier_variant("centroid_clip", f_adapted=T.Tensor(f),
-                               bank=bank, class_ids=[0, 1, 2], tau=0.1)
+        a = self.probs("centroid_adapted", bank, f)
+        b = self.probs("centroid_clip", bank, f)
         assert np.array_equal(a.data, b.data)
 
     def test_only_text_has_no_visual_branch(self, backbone):
         bank, f = self.fill_bank(backbone)
-        out = classifier_variant("only_text", f_adapted=T.Tensor(f), bank=bank,
-                                 class_ids=[0, 1, 2], tau=0.1)
-        assert out is None
-        bank.refined_current.clear()
-        assert classifier_variant("only_text", f_adapted=T.Tensor(f), bank=bank,
-                                  class_ids=[0, 1, 2], tau=0.1) is None
+        assert self.probs("only_text", bank, f) is None
+        branch = VisualBranch(branch_state("only_text", bank), [0, 1, 2])
+        loss = T.scalar(1.5)
+        assert branch.add_terms(loss, T.Tensor(f), [0, 1], 0.1) is loss
 
     def test_zero_linear_head_uniform(self, backbone):
         bank, f = self.fill_bank(backbone)
         head = LinearHead(CFG.d_v)
         head.add_task(1, [0, 1])
         head.add_task(2, [2])
-        p = classifier_variant("linear", f_adapted=T.Tensor(f), bank=bank,
-                               class_ids=[0, 1, 2], tau=0.1, head=head)
+        p = self.probs("linear", bank, f, head=head)
         assert np.all(p.data == pytest.approx(1 / 3, abs=0))
 
     def test_linear_head_selects_requested_columns(self, backbone):
@@ -369,11 +395,10 @@ class TestClassifierVariants:
         rng = np.random.default_rng(25)
         for p in head.parameters():
             p.data[...] = rng.standard_normal(p.data.shape)
-        logits = head.logits(T.Tensor(f)).data[:, [2, 0]]
+        logits = head_logits(head, f)[:, [2, 0]]
         want = np.exp(logits - logits.max(axis=1, keepdims=True))
         want /= want.sum(axis=1, keepdims=True)
-        p = classifier_variant("linear", f_adapted=T.Tensor(f), bank=bank,
-                               class_ids=[2, 0], tau=0.1, head=head)
+        p = self.probs("linear", bank, f, class_ids=[2, 0], head=head)
         np.testing.assert_allclose(p.data, want, rtol=1e-12, atol=0)
 
     def test_linear_head_unknown_class(self, backbone):
@@ -381,14 +406,12 @@ class TestClassifierVariants:
         head = LinearHead(CFG.d_v)
         head.add_task(1, [0, 1])
         with pytest.raises(ProtocolError, match="no column for class 2"):
-            classifier_variant("linear", f_adapted=T.Tensor(f), bank=bank,
-                               class_ids=[0, 2], tau=0.1, head=head)
+            VisualBranch(branch_state("linear", bank, head=head), [0, 2])
 
     def test_unknown_kind(self, backbone):
         bank, f = self.fill_bank(backbone)
         with pytest.raises(ConfigError):
-            classifier_variant("prototype-free", f_adapted=T.Tensor(f),
-                               bank=bank, class_ids=[0], tau=0.1)
+            VisualBranch(branch_state("prototype-free", bank), [0])
 
 
 class TestLinearHead:
@@ -397,8 +420,9 @@ class TestLinearHead:
         head.add_task(2, [4, 5])
         head.add_task(1, [0, 1])
         assert head.class_ids == (0, 1, 4, 5)
+        assert head.columns([5, 0]).tolist() == [3, 0]
         f = T.Tensor(np.random.default_rng(23).standard_normal((3, 10)))
-        assert head.logits(f).data.shape == (3, 4)
+        assert head.logits(f, head.columns([5, 0])).data.shape == (3, 2)
 
     def test_logits_match_manual_affine(self):
         head = LinearHead(10)
@@ -408,15 +432,16 @@ class TestLinearHead:
         w.data[:] = rng.standard_normal(w.data.shape)
         b.data[:] = rng.standard_normal(b.data.shape)
         f = rng.standard_normal((4, 10))
-        got = head.logits(T.Tensor(f)).data
-        np.testing.assert_allclose(got, f @ w.data.T + b.data, atol=1e-12)
+        got = head.logits(T.Tensor(f), [1, 0]).data
+        want = f @ w.data.T + b.data
+        np.testing.assert_allclose(got, want[:, [1, 0]], atol=1e-12)
 
     def test_gradients_reach_blocks(self):
         head = LinearHead(10)
         head.add_task(1, [0])
         head.add_task(2, [1])
         f = T.Tensor(np.ones((2, 10)))
-        T.tsum(head.logits(f)).backward()
+        T.tsum(head.logits(f, [0, 1])).backward()
         assert all(np.any(p.grad != 0) or p.data.size == 0
                    for p in [head.blocks[1][1], head.blocks[2][1]])
 
@@ -428,4 +453,4 @@ class TestLinearHead:
 
     def test_empty_head_logits(self):
         with pytest.raises(ProtocolError):
-            LinearHead(10).logits(T.Tensor(np.ones((1, 10))))
+            LinearHead(10).logits(T.Tensor(np.ones((1, 10))), [])

@@ -17,15 +17,14 @@ from seca.sgakt import (
     STRATEGIES,
     AdapterPool,
     SemanticProjectors,
+    Teacher,
     aggregate,
     loss_agg,
     loss_sgakt,
     pooled_views,
     relevance_scores,
     semantic_vectors,
-    teacher_blend,
     teacher_result,
-    teacher_views,
 )
 
 CFG = EncoderConfig(d_v=12, d_t=12, layers=2, adapter_width=4,
@@ -529,29 +528,64 @@ class TestTeacherViews:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((130, enc.d_v)).astype(np.float32)
         ys = rng.integers(0, 2, 130)
-        sem = semantic_vectors(text_enc, bank, [2, 3], upto_task=2)
-        with T.no_grad():
-            views = teacher_views(strategy, backbone, x, pool)
+        text = (text_enc, bank, [2, 3], 2)
+        whole = Teacher(strategy, backbone, x, pool, text)
         if strategy == "seq":
-            assert views is None
+            assert whole.views is None
+            res, scores = whole.batch(np.arange(4), ys[:4], projectors, 1.0)
+            assert res is None and scores.tolist() == [0.0, 0.0, 0.0]
             return
-        assert len(views) == (3 if strategy in ("avg_kd", "sg_akt") else 1)
+        assert len(whole.views) == (3 if strategy in ("avg_kd", "sg_akt") else 1)
         for n in range(2, 65):
             idx = rng.permutation(130)[:n]
-            with T.no_grad():
-                batch_views = teacher_views(strategy, backbone, x[idx], pool)
-            taken = [T.Tensor(v.data[idx]) for v in views]
-            for a, b in zip(batch_views, taken, strict=True):
-                assert a.data.tobytes() == b.data.tobytes(), n
-            want = teacher_blend(strategy, batch_views, sem, ys[idx],
-                                 projectors, 1.0)
-            got = teacher_blend(strategy, taken, sem, ys[idx], projectors, 1.0)
+            part = Teacher(strategy, backbone, x[idx], pool, text)
+            for a, b in zip(part.views, whole.views, strict=True):
+                assert a.tobytes() == b[idx].tobytes(), n
+            want, want_s = part.batch(slice(None), ys[idx], projectors, 1.0)
+            got, got_s = whole.batch(idx, ys[idx], projectors, 1.0)
             assert want.alpha.data.tobytes() == got.alpha.data.tobytes(), n
             assert want.v_agg.data.tobytes() == got.v_agg.data.tobytes(), n
+            assert want_s.tobytes() == got_s.tobytes(), n
+
+    def test_utility_scores(self, world):
+        backbone, text_enc, bank, pool, x = world
+        ys = np.array([0, 1, 1, 0])
+        sem = semantic_vectors(text_enc, bank, [4, 5], upto_task=3)
+        projectors = SemanticProjectors.create(CFG, seed=8)
+        for strategy in STRATEGIES:
+            res, scores = Teacher(strategy, backbone, x, pool).batch(
+                slice(None), ys, projectors, 1.0, sem)
+            if strategy == "sg_akt":
+                # the mean raw relevance of each pool entry over the batch
+                want = relevance_scores(sem, pooled_views(backbone, x, pool),
+                                        ys, projectors).data.mean(axis=0)
+                assert scores.tobytes() == want.tobytes()
+                assert np.all(scores != 0.0)
+            else:
+                assert scores.tolist() == [0.0] * len(pool)
+
+    def test_past_blocks_plus_live_prompt(self, world):
+        # the blocks built from text equal all the blocks passed as sem
+        backbone, text_enc, bank, pool, x = world
+        ys = np.array([0, 1, 1, 0])
+        projectors = SemanticProjectors.create(CFG, seed=8)
+        built = Teacher("sg_akt", backbone, x, pool, (text_enc, bank, [4, 5], 3))
+        assert len(built.past) == 2
+        got, got_s = built.batch([3, 0, 2], ys[[3, 0, 2]], projectors, 1.0)
+        sem = semantic_vectors(text_enc, bank, [4, 5], upto_task=3)
+        want, want_s = Teacher("sg_akt", backbone, x, pool).batch(
+            [3, 0, 2], ys[[3, 0, 2]], projectors, 1.0, sem)
+        assert got.v_agg.data.tobytes() == want.v_agg.data.tobytes()
+        assert got_s.tobytes() == want_s.tobytes()
 
     def test_no_teacher_cases(self, world):
         backbone, _, _, pool, x = world
-        assert teacher_views("seq", backbone, x, pool) is None
-        assert teacher_views("vanilla", backbone, x, AdapterPool()) is None
+        assert Teacher("seq", backbone, x, pool).views is None
+        # no strategy has a teacher before a first task has finished
+        for strategy in STRATEGIES:
+            teacher = Teacher(strategy, backbone, x, AdapterPool())
+            res, scores = teacher.batch(slice(None), np.zeros(4, np.int64),
+                                        zero_projectors(), 1.0)
+            assert res is None and scores.shape == (0,)
         with pytest.raises(ConfigError):
-            teacher_views("distill-all", backbone, x, pool)
+            Teacher("distill-all", backbone, x, pool)

@@ -24,8 +24,8 @@ from seca.datastream import BANK_MAGIC, BANK_VERSION, SyntheticSpec, \
 from seca.encoder import EncoderConfig, clip_logits, text_features
 from seca.errors import DataFormatError, ProtocolError
 from seca.replay import draw_pseudo_batch, replay_losses, sample
-from seca.sevpr import affinity_matrix, loss_ce_v, loss_reg, \
-    refine_prototypes, visual_prob
+from seca.sevpr import VARIANTS, LinearHead, PrototypeBank, VisualBranch, \
+    affinity_matrix, loss_ce_v, loss_reg, refine_prototypes, visual_prob
 from seca.sgakt import STRATEGIES, loss_agg, loss_sgakt, semantic_vectors, \
     teacher_result
 from seca.trainer import CKPT_MAGIC, CKPT_VERSION, Adam, Metrics, \
@@ -56,18 +56,18 @@ def run_tasks(cfg, upto=None):
 
 def open_task(state, task):
     """Mid-task state: bookkeeping done, prompt live, no steps taken yet."""
-    from seca.sevpr import adapted_prototypes, raw_prototypes
     ids = [int(k) for k in task.class_ids]
     state.task += 1
     state.seen.append(tuple(ids))
     state.prompts.new_prompt(state.task, state.cfg.seed)
-    raw_prototypes(state.protos, state.backbone, task.train_x, task.train_y,
-                   ids)
-    if state.cfg.classifier == "centroid_adapted":
-        adapted_prototypes(state.protos, state.backbone, state.adapter,
-                           task.train_x, task.train_y, ids)
-    if state.head is not None:
-        state.head.add_task(state.task, ids)
+    VisualBranch.write_task(state, task.train_x, task.train_y, ids)
+
+
+def open_first_task(cfg):
+    """Mid-task-1 state: a fresh state with its first task opened."""
+    state, stream = run_tasks(cfg, upto=0)
+    open_task(state, stream.tasks[0])
+    return state, stream
 
 
 def state_digest(state) -> str:
@@ -124,7 +124,7 @@ def mirror_loss(state, x, ys_global, with_kl=True):
         seen = state.seen_ids()
         z = text_features(state.text_enc, state.prompts, seen, prompt)
         m = affinity_matrix(z, state.affinity.h_proj, cfg.affinity_gamma)
-        refined_all = vis = refine_prototypes(m, state.protos.raw_matrix(seen))
+        refined_all = vis = refine_prototypes(m, state.protos.matrix("raw", seen))
         sup_idx = np.array([seen.index(int(k)) for k in support],
                            dtype=np.int64)
         loss = T.add(loss, loss_ce_v(f_v, T.take_rows(refined_all, sup_idx),
@@ -134,11 +134,11 @@ def mirror_loss(state, x, ys_global, with_kl=True):
             old_idx = np.array([seen.index(int(k)) for k in old],
                                dtype=np.int64)
             loss = T.add(loss, loss_reg(T.take_rows(refined_all, old_idx),
-                                        state.protos.snapshot_matrix(old)))
+                                        state.protos.matrix("refined_snapshot", old)))
     elif cfg.classifier in ("centroid_clip", "centroid_adapted"):
-        vis = state.protos.raw_matrix(support) \
+        vis = state.protos.matrix("raw", support) \
             if cfg.classifier == "centroid_clip" \
-            else state.protos.adapted_matrix(support)
+            else state.protos.matrix("adapted", support)
         loss = T.add(loss, loss_ce_v(f_v, vis, ys_local, cfg.tau))
     elif cfg.classifier == "linear":
         loss = T.add(loss, head_ce(state.head, f_v, support, ys_local))
@@ -177,10 +177,14 @@ def first_rows_loss(state, task, rows=8):
 
 
 def head_ce(head, f, support, ys_local):
-    """Cross entropy of the linear head's logits over the support columns."""
+    """Cross entropy of the linear head's logits over the support columns,
+    picked from the logits of every column through a transpose round trip."""
     cols = np.array([head.class_ids.index(int(k)) for k in support],
                     dtype=np.int64)
-    logits = T.transpose(T.take_rows(T.transpose(head.logits(f)), cols))
+    every = T.transpose(T.concat_rows([
+        T.transpose(T.add(T.matmul(f, T.transpose(w)), b))
+        for w, b in (head.blocks[t] for t in sorted(head.blocks))]))
+    logits = T.transpose(T.take_rows(T.transpose(every), cols))
     return T.cross_entropy_rows(T.softmax_temp(logits, 1.0), ys_local)
 
 
@@ -285,15 +289,15 @@ class TestAdam:
 
 class TestBatchLoss:
     def test_task1_composition(self):
-        state, stream = run_tasks(make_cfg(), upto=1)
+        state, stream = open_first_task(make_cfg())
         x = stream.tasks[0].train_x[:8]
         y = stream.tasks[0].train_y[:8]
-        loss, alpha_bar = first_rows_loss(state, stream.tasks[0])
-        assert alpha_bar is None
+        loss, scores = first_rows_loss(state, stream.tasks[0])
+        assert scores.shape == (0,)
         assert np.array_equal(loss.data, mirror_loss(state, x, y).data)
 
     def test_task1_projector_gradients_are_zero(self):
-        state, stream = run_tasks(make_cfg(), upto=1)
+        state, stream = open_first_task(make_cfg())
         for p in (state.projectors.w_s, state.projectors.w_v):
             p.zero_grad()
         loss, _ = first_rows_loss(state, stream.tasks[0])
@@ -306,8 +310,8 @@ class TestBatchLoss:
         open_task(state, stream.tasks[2])
         x = stream.tasks[2].train_x[:8]
         y = stream.tasks[2].train_y[:8]
-        loss, alpha_bar = first_rows_loss(state, stream.tasks[2])
-        assert alpha_bar is not None and alpha_bar.shape == (2,)
+        loss, scores = first_rows_loss(state, stream.tasks[2])
+        assert scores.shape == (2,) and np.all(scores != 0.0)
         assert np.array_equal(loss.data, mirror_loss(state, x, y).data)
 
     def test_beta_zero_drops_kl_gradients(self):
@@ -330,7 +334,7 @@ class TestBatchLoss:
             assert np.array_equal(with_term[p.name], p.grad), p.name
 
     def test_only_text_is_text_ce_alone(self):
-        state, stream = run_tasks(make_cfg(classifier="only_text"), upto=1)
+        state, stream = open_first_task(make_cfg(classifier="only_text"))
         x = stream.tasks[0].train_x[:8]
         y = stream.tasks[0].train_y[:8]
         loss, _ = first_rows_loss(state, stream.tasks[0])
@@ -399,10 +403,12 @@ class TestBatchLoss:
 
         for p in params:
             p.zero_grad()
-        loss, alpha_bar = batch_loss(TaskContext(state, task), idx)
+        loss, scores = batch_loss(TaskContext(state, task), idx)
         loss.backward()
-        assert len(state.pool) == 2
-        assert (alpha_bar is not None) == (distill in ("avg_kd", "sg_akt"))
+        assert len(state.pool) == 2 and scores.shape == (2,)
+        # only learned relevance scores the entries; the rest only decay
+        assert np.all(scores != 0.0) == (distill == "sg_akt")
+        assert np.all(scores == 0.0) == (distill != "sg_akt")
         assert np.array_equal(loss.data, mirrored.data)
         for p in params:
             assert np.array_equal(want[p.name], p.grad), p.name
@@ -470,6 +476,7 @@ class TestRouting:
 
 class TestTaskContext:
     def test_frozen_work_runs_once_per_task(self, monkeypatch):
+        import seca.sevpr as V
         import seca.sgakt as G
         import seca.trainer as TR
         state, stream = run_tasks(make_cfg(epochs_per_task=2), upto=2)
@@ -485,7 +492,7 @@ class TestTaskContext:
             TR.batch_loss, [], lambda a: steps.__setitem__(0, steps[0] + 1)))
         monkeypatch.setattr(G, "pooled_views", wrap(
             G.pooled_views, pooled, lambda a: (steps[0], a[1].shape[0])))
-        for mod in (G, TR):
+        for mod in (G, TR, V):
             monkeypatch.setattr(mod, "text_features", wrap(
                 mod.text_features, text_calls, lambda a: (steps[0], a[3].name)))
         train_task(state, stream.tasks[2])
@@ -499,6 +506,37 @@ class TestTaskContext:
         # then the boundary refinement
         active = [c[0] for c in text_calls if c[1] == "prompt.3"]
         assert active == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4, 4]
+
+    @pytest.mark.parametrize("classifier,build", [
+        ("centroid_clip", "raw"), ("centroid_adapted", "adapted"),
+        ("linear", "columns")])
+    def test_targets_built_once_per_task(self, monkeypatch, classifier, build):
+        # replay on: each step scores a batch and a replay batch
+        import seca.trainer as TR
+        state, stream = run_tasks(make_cfg(epochs_per_task=2, replay=True,
+                                           classifier=classifier), upto=2)
+        steps, builds = [0], []
+        batch_loss_fn = TR.batch_loss
+        matrix, columns = PrototypeBank.matrix, LinearHead.columns
+
+        def counted_batch_loss(*args):
+            steps[0] += 1
+            return batch_loss_fn(*args)
+
+        def counted_matrix(self, store, class_ids):
+            builds.append((steps[0], store))
+            return matrix(self, store, class_ids)
+
+        def counted_columns(self, class_ids):
+            builds.append((steps[0], "columns"))
+            return columns(self, class_ids)
+
+        monkeypatch.setattr(TR, "batch_loss", counted_batch_loss)
+        monkeypatch.setattr(PrototypeBank, "matrix", counted_matrix)
+        monkeypatch.setattr(LinearHead, "columns", counted_columns)
+        train_task(state, stream.tasks[2])
+        assert steps[0] == 4
+        assert builds == [(0, build)]
 
 
 class TestTrainTask:
@@ -597,7 +635,7 @@ class TestPredict:
             z = text_features(state.text_enc, state.prompts, ids,
                               state.prompts.prompts[2])
             m = affinity_matrix(z, state.affinity.h_proj, cfg.affinity_gamma)
-            refined = refine_prototypes(m, state.protos.raw_matrix(ids)).data
+            refined = refine_prototypes(m, state.protos.matrix("raw", ids)).data
             logits = f @ unit(refined).T / cfg.tau_prime
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             total += e / e.sum(axis=1, keepdims=True)
@@ -643,8 +681,7 @@ class TestPredict:
         assert np.array_equal(predict_scores(state, x), before)
 
 
-    @pytest.mark.parametrize("classifier", ["se_vpr", "only_text",
-                                            "centroid_clip"])
+    @pytest.mark.parametrize("classifier", VARIANTS)
     def test_scores_match_per_batch_mirror(self, classifier):
         state, stream = run_tasks(make_cfg(classifier=classifier))
         base = np.concatenate([t.test_x for t in stream.tasks])
@@ -676,9 +713,18 @@ def mirror_scores(state, x):
             z = text_features(state.text_enc, state.prompts, ids,
                               state.prompts.prompts[state.task])
             m = affinity_matrix(z, state.affinity.h_proj, cfg.affinity_gamma)
-            protos = refine_prototypes(m, state.protos.raw_matrix(ids))
+            protos = refine_prototypes(m, state.protos.matrix("raw", ids))
         elif cfg.classifier == "centroid_clip":
-            protos = state.protos.raw_matrix(ids)
+            protos = state.protos.matrix("raw", ids)
+        elif cfg.classifier == "centroid_adapted":
+            protos = state.protos.matrix("adapted", ids)
+        elif cfg.classifier == "linear":
+            head = state.head
+            logits = np.concatenate([f.data @ w.data.T + b.data for w, b in
+                                     (head.blocks[t] for t in sorted(head.blocks))],
+                                    axis=1)
+            cols = [head.class_ids.index(k) for k in ids]
+            return score + T.softmax_temp(T.Tensor(logits[:, cols]), 1.0).data
         else:
             return score
         return score + visual_prob(f, protos, cfg.tau_prime).data
@@ -790,8 +836,12 @@ class TestCheckpoint:
         save_checkpoint(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_resume_training_matches_uninterrupted(self, tmp_path):
-        cfg = make_cfg(replay=True)
+    @pytest.mark.parametrize("distill", ["seq", "vanilla", "sg_akt"])
+    @pytest.mark.parametrize("classifier", VARIANTS)
+    def test_resume_training_matches_uninterrupted(self, tmp_path, classifier,
+                                                   distill):
+        # what a task builds once comes only from checkpointed state
+        cfg = make_cfg(replay=True, classifier=classifier, distill=distill)
         stream = build_stream(cfg.data)
         state = state_for_stream(cfg, stream)
         train_task(state, stream.tasks[0])
