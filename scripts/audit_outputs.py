@@ -10,7 +10,10 @@ Imports seca from this checkout's ``src/`` and runs, inside OUT_DIR:
   ``short`` configs below;
 - ``train`` and ``eval`` for every classifier variant and every
   distillation strategy on the ``replay``, ``short`` and ``full_cov``
-  configs.
+  configs;
+- ``gen-data`` on the ``short`` config, then ``train``, ``eval`` and
+  ``ablate-classifier`` on the ``bank`` config, which reads that bank by
+  a relative path.
 
 OUT_DIR must not exist yet. Paths are relative to it, so manifests do not
 name the directory.
@@ -39,6 +42,9 @@ CONFIGS = {
     "full_cov": {"epochs_per_task": 1, "replay": True, "replay_full_cov": True,
                  "data": {"synthetic": {"num_tasks": 5}}},
 }
+# the bank that gen-data writes from the "short" config
+BANK = {"epochs_per_task": 2,
+        "data": {"bank": {"path": "gen/short/bank.bin", "num_tasks": 4}}}
 
 
 def commands() -> list[list[str]]:
@@ -57,6 +63,12 @@ def commands() -> list[list[str]]:
                         "--out", f"train/{leaf}"])
             out.append(["eval", "--ckpt", f"train/{leaf}/run.ckpt",
                         "--out", f"eval/{leaf}"])
+    out += [["gen-data", "--config", "configs/short.json",
+             "--out", "gen/short"],
+            ["train", "--config", "configs/bank.json", "--out", "train/bank"],
+            ["eval", "--ckpt", "train/bank/run.ckpt", "--out", "eval/bank"],
+            ["ablate-classifier", "--config", "configs/bank.json",
+             "--out", "ablate-classifier/bank"]]
     return out
 
 
@@ -68,6 +80,7 @@ def write_configs(root: Path) -> None:
             for value in values:
                 path = root / "configs" / name / f"{field}-{value}.json"
                 path.write_text(json.dumps(dict(doc, **{field: value})))
+    (root / "configs" / "bank.json").write_text(json.dumps(BANK))
 
 
 def main(argv=None) -> int:

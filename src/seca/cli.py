@@ -67,10 +67,10 @@ def _load_base_config(args) -> RunConfig:
 
 def _run_leaf(cfg: RunConfig, out_dir, save_ckpt: bool = False):
     """One full training run with its metrics, manifest, and checkpoint."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stream = build_stream(cfg.data)
     state, metrics = run_stream(cfg, stream)
+    out_dir = Path(out_dir)  # made only now: a failed run leaves none
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_metrics(out_dir, metrics, stream)
     if save_ckpt:
         save_checkpoint(out_dir / "run.ckpt", state)
@@ -121,11 +121,11 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stream = build_stream(state.cfg.data)
     hits = [predict(state, t.test_x) == t.test_y
             for t in stream.tasks[:state.task]]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
         "overall": 100.0 * float(np.mean(np.concatenate(hits))),
         "per_task": [100.0 * float(np.mean(h)) for h in hits],
@@ -164,10 +164,11 @@ def _sweep_variants(param: str, tokens: list[str],
     """One variant per token, each parsed as a config file value would be.
 
     A token is JSON, or else a bare word; ``dynamic`` names the
-    task-index schedule. Every token is checked before any leaf trains.
+    task-index schedule. Every token is checked before any leaf trains,
+    and a token whose value an earlier one already gave is refused.
     """
     path = _SWEEPS[param]
-    variants = []
+    variants, values = [], []
     for tok in tokens:
         doc = config_dict(cfg)
         node = doc
@@ -182,6 +183,9 @@ def _sweep_variants(param: str, tokens: list[str],
         except ConfigError as e:
             raise ConfigError(f"sweep: bad {param} value {tok!r}: {e}") \
                 from None
+        if value in values:
+            raise ConfigError(f"sweep: repeated {param} value {tok!r}")
+        values.append(value)
         variants.append((f"{param}={tok}", {path[0]: value}))
     return variants
 
@@ -198,10 +202,10 @@ def cmd_gen_data(args) -> int:
     if cfg.data.synthetic is None:
         raise ConfigError("gen-data: config must use a synthetic data source")
     spec = cfg.data.synthetic
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stream = gen_synthetic(spec)
     feats, labels = flatten_stream(stream)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_feature_bank(out_dir / "bank.bin", feats, labels, stream.names)
     _write_manifest(out_dir, "gen-data", cfg, spec.seed,
                     samples=int(labels.size), classes=len(stream.names))

@@ -1,11 +1,12 @@
 """Run configuration: one JSON document, explicit defaults, strict parsing.
 
 Every field that reaches a manifest is resolved here, so a dumped config
-re-runs the exact experiment. The dataclass fields are the only schema: a
-JSON value is checked against its field's annotation, numbers must be
-finite, and float fields are stored as floats. Unknown keys, type
-mismatches and non-finite numbers are rejected with the offending field
-path in the message.
+re-runs the exact experiment. The dataclass fields are the only schema:
+the parser checks the shape of the JSON (unknown keys, required fields,
+each value's JSON type against its field's annotation) and stores float
+fields as floats; each dataclass checks its own values in __post_init__,
+raising "<field>: <reason>", and the parser puts the field's path in
+front of that.
 """
 
 from __future__ import annotations
@@ -26,40 +27,30 @@ BETA_TASK_INDEX = "task-index"
 
 
 @dataclass(frozen=True)
-class BankSource:
-    path: str
-    num_tasks: int
-    train_fraction: float = 0.8
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class DataConfig:
     """Exactly one of synthetic or bank supplies the task stream."""
 
-    synthetic: SyntheticSpec | None = field(default_factory=SyntheticSpec)
-    bank: BankSource | None = None
+    synthetic: SyntheticSpec | None = None
+    bank: SplitRule | None = None
 
     def __post_init__(self):
         if (self.synthetic is None) == (self.bank is None):
-            raise ConfigError("data: exactly one of synthetic/bank required")
+            raise ConfigError("synthetic/bank: exactly one is required")
 
     @property
     def seed(self) -> int:
-        return self.synthetic.seed if self.synthetic else self.bank.seed
+        return (self.synthetic or self.bank).seed
 
     def reseed(self, seed: int) -> "DataConfig":
         if self.synthetic:
-            return DataConfig(synthetic=replace(self.synthetic, seed=seed))
-        return DataConfig(synthetic=None, bank=replace(self.bank, seed=seed))
+            return replace(self, synthetic=replace(self.synthetic, seed=seed))
+        return replace(self, bank=replace(self.bank, seed=seed))
 
 
 def build_stream(data: DataConfig) -> TaskStream:
     if data.synthetic:
         return gen_synthetic(data.synthetic)
-    bank = data.bank
-    rule = SplitRule(bank.num_tasks, bank.train_fraction, bank.seed)
-    return load_feature_bank(bank.path, rule)
+    return load_feature_bank(data.bank)
 
 
 @dataclass(frozen=True)
@@ -81,10 +72,10 @@ class RunConfig:
     distill: str = "sg_akt"
     classifier: str = "se_vpr"
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    data: DataConfig = field(default_factory=DataConfig)
+    data: DataConfig = field(
+        default_factory=lambda: DataConfig(synthetic=SyntheticSpec()))
 
     def __post_init__(self):
-        # here as well as in the parser: configs built in code skip the parser
         for f in fields(self):
             val = getattr(self, f.name)
             if "float" in f.type and not isinstance(val, str) \
@@ -128,22 +119,20 @@ def beta_value(cfg: RunConfig, task: int) -> float:
 _JSON = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
 
 
-def _number(val, where: str) -> float:
+def _number(val) -> float:
     try:
-        val = float(val)
+        return float(val)
     except OverflowError:  # an integer past the float range
-        val = math.inf
-    if not math.isfinite(val):
-        raise ConfigError(f"{where}: must be finite")
-    return val
+        return math.inf
 
 
-def _fields(cls, obj, path: str, **nested) -> dict:
-    """The fields of dataclass ``cls`` given in JSON object ``obj``.
+def _build(cls, obj, path: str, **nested):
+    """Dataclass ``cls`` from JSON object ``obj`` at config path ``path``.
 
     Each field is checked against its annotation; ``nested`` maps the
     fields that are not plain scalars to a ``parse(value, path)`` of their
-    own. Fields without a default must be present.
+    own. Fields without a default must be present. The dataclass checks
+    the values, and its "<field>: <reason>" errors get ``path`` in front.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{path or 'config'}: expected a JSON object")
@@ -169,8 +158,11 @@ def _fields(cls, obj, path: str, **nested) -> dict:
         if isinstance(val, bool) and bool not in kinds \
                 or not isinstance(val, kinds):
             raise ConfigError(f"{where}: wrong type")
-        out[f.name] = _number(val, where) if float in kinds else val
-    return out
+        out[f.name] = _number(val) if float in kinds else val
+    try:
+        return cls(**out)
+    except ConfigError as e:
+        raise ConfigError(prefix + str(e)) from None
 
 
 def _pool_max(val, where: str) -> int | None:
@@ -184,29 +176,19 @@ def _pool_max(val, where: str) -> int | None:
 def _beta(val, where: str) -> float | str:
     if isinstance(val, bool) or not isinstance(val, (int, float, str)):
         raise ConfigError(f"{where}: wrong type (number or schedule name)")
-    return val if isinstance(val, str) else _number(val, where)
+    return val if isinstance(val, str) else _number(val)
 
 
-def _synthetic(val, where: str) -> SyntheticSpec:
-    got = _fields(SyntheticSpec, val, where)
-    try:
-        return SyntheticSpec(**got)
-    except ConfigError as e:
-        raise ConfigError(f"{where}: {e}") from None
-
-
-def _data(val, where: str) -> DataConfig:
-    got = _fields(DataConfig, val, where, synthetic=_synthetic,
-                  bank=lambda v, p: BankSource(**_fields(BankSource, v, p)))
-    return DataConfig(**{"synthetic": None, **got})
+def _nested(cls, **nested):
+    return lambda val, where: _build(cls, val, where, **nested)
 
 
 def parse_config(obj) -> RunConfig:
     """Build a validated RunConfig from a parsed JSON object."""
-    return RunConfig(**_fields(
-        RunConfig, obj, "", pool_max=_pool_max, beta=_beta,
-        encoder=lambda v, p: EncoderConfig(**_fields(EncoderConfig, v, p)),
-        data=_data))
+    data = _nested(DataConfig, synthetic=_nested(SyntheticSpec),
+                   bank=_nested(SplitRule))
+    return _build(RunConfig, obj, "", pool_max=_pool_max, beta=_beta,
+                  encoder=_nested(EncoderConfig), data=data)
 
 
 def load_config(path) -> RunConfig:
@@ -231,10 +213,5 @@ def config_dict(cfg: RunConfig) -> dict:
     """Fully resolved config as plain JSON types; round-trips via parse."""
     out = asdict(cfg)
     out["pool_max"] = "ALL" if cfg.pool_max is None else cfg.pool_max
-    data = {}
-    if cfg.data.synthetic:
-        data["synthetic"] = asdict(cfg.data.synthetic)
-    else:
-        data["bank"] = asdict(cfg.data.bank)
-    out["data"] = data
+    out["data"] = {k: v for k, v in out["data"].items() if v is not None}
     return out

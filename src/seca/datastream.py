@@ -9,7 +9,8 @@ tasks and cross-task transfer has something to find.
 
 Feature banks are the ingestion path for features extracted by external
 tools: one codec artifact holding the features, the labels and the class
-names, each in its own digest-checked frame.
+names, each in its own digest-checked frame. Both sources cut their
+class-ordered blocks into tasks with one splitter.
 """
 
 from __future__ import annotations
@@ -90,20 +91,39 @@ class SyntheticSpec:
         for field in ("num_tasks", "classes_per_task", "dim", "superclasses",
                       "train_per_class", "test_per_class"):
             if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be at least 1")
+                raise ConfigError(f"{field}: must be at least 1")
         for field in ("mean_correlation", "noise"):
             if not math.isfinite(getattr(self, field)):
-                raise ConfigError(f"{field} must be finite")
+                raise ConfigError(f"{field}: must be finite")
         if not 0.0 <= self.mean_correlation <= 1.0:
-            raise ConfigError("mean_correlation must lie in [0, 1]")
+            raise ConfigError("mean_correlation: must lie in [0, 1]")
         if self.noise < 0.0:
-            raise ConfigError("noise must be non-negative")
+            raise ConfigError("noise: must be non-negative")
         total = self.num_tasks * self.classes_per_task
         # sign patterns bound how many means stay pairwise separable
         if self.dim < 31 and total > 2 ** self.dim:
             raise ConfigError(
-                f"{total} classes cannot get distinct means at dim {self.dim}"
+                f"dim: {total} classes cannot get distinct means at dim "
+                f"{self.dim}"
             )
+
+
+def _cut_tasks(num_tasks, per_task, train, test) -> tuple[TaskData, ...]:
+    """Tasks of consecutive class ranges, cut from class-ordered blocks.
+
+    ``train`` and ``test`` are (features, labels) pairs whose rows are
+    sorted by label; task s holds classes s*per_task .. (s+1)*per_task-1,
+    its rows in the order the blocks give them.
+    """
+    tasks = []
+    for s in range(num_tasks):
+        ids = tuple(range(s * per_task, (s + 1) * per_task))
+        blocks = []
+        for x, y in (train, test):
+            rows = np.isin(y, ids)
+            blocks += [_lock(x[rows]), _lock(y[rows])]
+        tasks.append(TaskData(ids, *blocks))
+    return tuple(tasks)
 
 
 def gen_synthetic(spec: SyntheticSpec) -> TaskStream:
@@ -128,19 +148,11 @@ def gen_synthetic(spec: SyntheticSpec) -> TaskStream:
         y = np.repeat(np.arange(total, dtype=np.int64), count)
         return x.astype(np.float32), y
 
-    train_x, train_y = draw_block(spec.train_per_class)
-    test_x, test_y = draw_block(spec.test_per_class)
-
-    tasks = []
-    for s in range(spec.num_tasks):
-        ids = range(s * spec.classes_per_task, (s + 1) * spec.classes_per_task)
-        ids = tuple(int(k) for k in ids)
-        tr = np.isin(train_y, ids)
-        te = np.isin(test_y, ids)
-        tasks.append(TaskData(ids, *map(_lock, (train_x[tr], train_y[tr],
-                                                test_x[te], test_y[te]))))
+    tasks = _cut_tasks(spec.num_tasks, spec.classes_per_task,
+                       draw_block(spec.train_per_class),
+                       draw_block(spec.test_per_class))
     names = {k: f"sc{k % spec.superclasses}-class-{k}" for k in range(total)}
-    return TaskStream(tasks=tuple(tasks), names=names, dim=spec.dim)
+    return TaskStream(tasks=tasks, names=names, dim=spec.dim)
 
 
 def write_feature_bank(path, features, labels, names: dict[int, str]) -> None:
@@ -192,32 +204,34 @@ def read_feature_bank(path) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
 
 @dataclass(frozen=True)
 class SplitRule:
-    """How a flat bank becomes a stream: task count, split ratio, seed."""
+    """A bank as a stream source: its file, task count, split ratio, seed."""
 
+    path: str
     num_tasks: int
     train_fraction: float = 0.8
     seed: int = 0
 
     def __post_init__(self):
         if self.num_tasks < 1:
-            raise ConfigError("num_tasks must be at least 1")
+            raise ConfigError("num_tasks: must be at least 1")
+        if not math.isfinite(self.train_fraction):
+            raise ConfigError("train_fraction: must be finite")
         if not 0.0 < self.train_fraction < 1.0:
-            raise ConfigError("train_fraction must lie strictly in (0, 1)")
+            raise ConfigError("train_fraction: must lie strictly in (0, 1)")
 
 
-def load_feature_bank(path, rule: SplitRule) -> TaskStream:
+def load_feature_bank(rule: SplitRule) -> TaskStream:
     """Bank file -> stream: equal class groups by sorted id, seeded split.
 
     Every class keeps at least one sample on each side of the split, which
     needs two samples per class in the bank.
     """
-    features, labels, names = read_feature_bank(path)
+    features, labels, names = read_feature_bank(rule.path)
     num_classes = len(names)
     if num_classes % rule.num_tasks != 0:
         raise ConfigError(
             f"{num_classes} classes do not divide into {rule.num_tasks} tasks"
         )
-    per_task = num_classes // rule.num_tasks
 
     train_idx: list[np.ndarray] = []
     test_idx: list[np.ndarray] = []
@@ -233,14 +247,10 @@ def load_feature_bank(path, rule: SplitRule) -> TaskStream:
         train_idx.append(rows[order[:cut]])
         test_idx.append(rows[order[cut:]])
 
-    tasks = []
-    for s in range(rule.num_tasks):
-        ids = tuple(range(s * per_task, (s + 1) * per_task))
-        tr = np.concatenate([train_idx[k] for k in ids])
-        te = np.concatenate([test_idx[k] for k in ids])
-        tasks.append(TaskData(ids, *map(_lock, (features[tr], labels[tr],
-                                                features[te], labels[te]))))
-    return TaskStream(tasks=tuple(tasks), names=names, dim=features.shape[1])
+    tr, te = np.concatenate(train_idx), np.concatenate(test_idx)
+    tasks = _cut_tasks(rule.num_tasks, num_classes // rule.num_tasks,
+                       (features[tr], labels[tr]), (features[te], labels[te]))
+    return TaskStream(tasks=tasks, names=names, dim=features.shape[1])
 
 
 def flatten_stream(stream: TaskStream) -> tuple[np.ndarray, np.ndarray]:

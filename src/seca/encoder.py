@@ -28,7 +28,7 @@ class EncoderConfig:
     def __post_init__(self):
         for name in ("d_v", "d_t", "layers", "adapter_width", "prompt_tokens"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"encoder.{name}: must be >= 1")
+                raise ConfigError(f"{name}: must be >= 1")
 
 
 def _affine(rng, n_in: int, n_out: int):

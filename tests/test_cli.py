@@ -22,6 +22,11 @@ TINY = {
 }
 
 
+def bank_doc(**fields):
+    """A config whose bank source has the given fields over valid ones."""
+    return {"data": {"bank": {"path": "b.bin", "num_tasks": 2, **fields}}}
+
+
 @pytest.fixture(scope="module")
 def cfg_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("cfg") / "tiny.json"
@@ -122,6 +127,7 @@ class TestTrain:
         }))
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
         # a bank whose class 3 has one sample, which cannot be split
         write_feature_bank(tmp_path / "b.bin", np.ones((7, 64)),
                            np.array([0, 0, 1, 1, 2, 2, 3]),
@@ -133,6 +139,27 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 3
         assert "class 3 needs at least 2 samples" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("doc,message", [
+        *[(bank_doc(num_tasks=n), "data.bank.num_tasks: must be at least 1")
+          for n in (0, -3)],
+        *[(bank_doc(train_fraction=f),
+           "data.bank.train_fraction: must lie strictly in (0, 1)")
+          for f in (0, 1, 1.5)],
+        ({"data": {"synthetic": {"noise": -0.5}}},
+         "data.synthetic.noise: must be non-negative"),
+        ({"encoder": {"d_v": 0}}, "encoder.d_v: must be >= 1"),
+        ({"tau": float("nan")}, "tau: must be finite"),
+    ], ids=["num_tasks-0", "num_tasks--3", "train_fraction-0",
+            "train_fraction-1", "train_fraction-1.5", "noise", "d_v", "tau"])
+    def test_bad_value_names_its_path(self, tmp_path, capsys, doc, message):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli.main(["train", "--config", str(cfg),
+                         "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("source", ["synthetic", "bank"])
     def test_data_dim_disagreeing_with_encoder_exits_2(self, tmp_path, capsys,
@@ -151,6 +178,7 @@ class TestTrain:
         assert cli.main(["train", "--config", str(cfg),
                          "--out", str(tmp_path / "o")]) == 2
         assert "encoder.d_v" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_flag_exits_2(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as e:
@@ -174,6 +202,22 @@ class TestEval:
         bad.write_bytes((train_dir / "run.ckpt").read_bytes()[:40])
         assert cli.main(["eval", "--ckpt", str(bad),
                          "--out", str(tmp_path / "o")]) == 3
+
+    def test_missing_bank_leaves_no_eval_dir(self, cfg_path, tmp_path):
+        gen, run, ev = tmp_path / "gen", tmp_path / "run", tmp_path / "ev"
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--out", str(gen)]) == 0
+        cfg = json.loads(cfg_path.read_text())
+        cfg["data"] = {"bank": {"path": str(gen / "bank.bin"),
+                                "num_tasks": 2}}
+        bank_cfg = tmp_path / "bank.json"
+        bank_cfg.write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(bank_cfg),
+                         "--out", str(run)]) == 0
+        (gen / "bank.bin").unlink()
+        assert cli.main(["eval", "--ckpt", str(run / "run.ckpt"),
+                         "--out", str(ev)]) == 3
+        assert not ev.exists()
 
     @pytest.mark.parametrize("region", ["json", "file"])
     def test_bit_flips_in_json_sections_exit_0_or_3(self, train_dir, tmp_path,
@@ -333,6 +377,22 @@ class TestSweep:
                 in capsys.readouterr().err
             assert not (out / "runs").exists()
 
+    @pytest.mark.parametrize("param,tokens", [
+        ("pool", ["1", "1"]), ("pool", ["ALL", "null"]),
+        ("tau_prime", ["1", "1.0"]), ("beta", ["dynamic", "task-index"])],
+        ids=["pool-1-1", "pool-ALL-null", "tau_prime-1-1.0",
+             "beta-dynamic-task-index"])
+    def test_repeated_value_exits_2(self, cfg_path, tmp_path, capsys, param,
+                                    tokens):
+        # equal values would train the same leaves twice, the second run
+        # overwriting the first, and list the variant twice in rows.json
+        out = tmp_path / "sw"
+        assert cli.main(["sweep", "--param", param, "--values", *tokens,
+                         "--config", str(cfg_path), "--out", str(out)]) == 2
+        assert f"sweep: repeated {param} value '{tokens[1]}'" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_param_exits_2(self, cfg_path, tmp_path):
         with pytest.raises(SystemExit) as e:
             cli.main(["sweep", "--param", "gamma", "--values", "1",
@@ -389,6 +449,14 @@ class TestGenData:
         assert cli.main(["gen-data", "--config", str(bank_cfg),
                          "--out", str(tmp_path / "gen2")]) == 2
         assert not (tmp_path / "gen2").exists()
+
+    def test_negative_seed_leaves_no_dir(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"synthetic": {"seed": -3}}}))
+        assert cli.main(["gen-data", "--config", str(cfg),
+                         "--out", str(tmp_path / "gen")]) == 2
+        assert "seed: -3 must be non-negative" in capsys.readouterr().err
+        assert not (tmp_path / "gen").exists()
 
     def test_damaged_bank_exits_3(self, cfg_path, tmp_path):
         gen = tmp_path / "gen"

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seca.config import BETA_TASK_INDEX, BankSource, DataConfig, RunConfig, \
-    beta_value, build_stream, config_dict, load_config, parse_config
-from seca.datastream import SyntheticSpec, write_feature_bank
+from seca.config import BETA_TASK_INDEX, DataConfig, RunConfig, beta_value, \
+    build_stream, config_dict, load_config, parse_config
+from seca.datastream import SplitRule, SyntheticSpec, write_feature_bank
 from seca.encoder import EncoderConfig
 from seca.errors import ConfigError
 from seca.sevpr import VARIANTS
@@ -37,7 +37,7 @@ _SYNTHETIC = st.builds(
     dim=_ints(8), superclasses=_ints(1), mean_correlation=_floats(0.0, 1.0),
     noise=_NON_NEGATIVE, train_per_class=_ints(1), test_per_class=_ints(1),
     seed=_ints(0))
-_BANKS = st.builds(BankSource, path=st.text(), num_tasks=_ints(1),
+_BANKS = st.builds(SplitRule, path=st.text(), num_tasks=_ints(1),
                    train_fraction=_floats(0.0, 1.0, exclude_min=True,
                                           exclude_max=True),
                    seed=_ints(0))
@@ -139,11 +139,19 @@ class TestParse:
         with pytest.raises(ConfigError, match="path and num_tasks"):
             parse_config({"data": {"bank": {"path": "b.bin"}}})
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_tasks", 0), ("num_tasks", -3), ("train_fraction", 0),
+        ("train_fraction", 1), ("train_fraction", 1.5)])
+    def test_bank_value_error_carries_path(self, field, value):
+        bank = {"path": "b.bin", "num_tasks": 2, field: value}
+        with pytest.raises(ConfigError, match=rf"^data\.bank\.{field}: "):
+            parse_config({"data": {"bank": bank}})
+
     def test_bank_parse(self):
         cfg = parse_config({"data": {"bank": {
             "path": "b.bin", "num_tasks": 4, "train_fraction": 0.5, "seed": 9,
         }}})
-        assert cfg.data.bank == BankSource("b.bin", 4, 0.5, 9)
+        assert cfg.data.bank == SplitRule("b.bin", 4, 0.5, 9)
         assert cfg.data.synthetic is None
         assert cfg.data.seed == 9
 
@@ -173,6 +181,12 @@ class TestValidation:
         with pytest.raises(ConfigError, match=f"^{field}:? must be finite$"):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_bank_fraction_non_finite_when_built_in_code(self, value):
+        with pytest.raises(ConfigError,
+                           match="^train_fraction: must be finite$"):
+            SplitRule("b.bin", 2, train_fraction=value)
+
     def test_tower_widths_must_agree(self):
         with pytest.raises(ConfigError, match="d_t"):
             RunConfig(encoder=EncoderConfig(d_v=32, d_t=16))
@@ -192,13 +206,13 @@ class TestValidation:
             DataConfig(synthetic=None, bank=None)
         with pytest.raises(ConfigError, match="exactly one"):
             DataConfig(synthetic=SyntheticSpec(),
-                       bank=BankSource("b.bin", 2))
+                       bank=SplitRule("b.bin", 2))
 
     def test_reseed(self):
         d = DataConfig(synthetic=SyntheticSpec(seed=1))
         assert d.reseed(5).seed == 5
         assert d.seed == 1
-        b = DataConfig(synthetic=None, bank=BankSource("b.bin", 2, seed=1))
+        b = DataConfig(synthetic=None, bank=SplitRule("b.bin", 2, seed=1))
         r = b.reseed(6)
         assert r.seed == 6 and r.bank.path == "b.bin"
 
@@ -239,7 +253,7 @@ class TestRoundTrip:
 
     def test_bank_round_trip(self):
         cfg = RunConfig(data=DataConfig(
-            synthetic=None, bank=BankSource("feat.bin", 3, 0.6, 4)))
+            synthetic=None, bank=SplitRule("feat.bin", 3, 0.6, 4)))
         assert parse_config(config_dict(cfg)) == cfg
 
 
@@ -276,7 +290,7 @@ class TestBuildStream:
         names = {k: f"class-{k}" for k in range(4)}
         path = tmp_path / "bank.bin"
         write_feature_bank(path, feats, labels, names)
-        cfg = RunConfig(data=DataConfig(synthetic=None, bank=BankSource(
+        cfg = RunConfig(data=DataConfig(synthetic=None, bank=SplitRule(
             str(path), num_tasks=2, train_fraction=0.5, seed=1)))
         stream = build_stream(cfg.data)
         assert len(stream.tasks) == 2

@@ -168,23 +168,23 @@ class TestBankIO:
         x = rng.standard_normal((40, 4)).astype(np.float32)
         y = np.repeat(np.arange(10), 4)
         write_feature_bank(tmp_path / "b.fb", x, y, {k: str(k) for k in range(10)})
-        stream = load_feature_bank(tmp_path / "b.fb", SplitRule(num_tasks=10))
+        stream = load_feature_bank(SplitRule(tmp_path / "b.fb", num_tasks=10))
         assert [t.class_ids for t in stream.tasks] == [(k,) for k in range(10)]
 
     def test_non_divisible_is_strict(self, bank):
         with pytest.raises(ConfigError):
-            load_feature_bank(bank[0], SplitRule(num_tasks=4))
+            load_feature_bank(SplitRule(bank[0], num_tasks=4))
 
     def test_split_is_seeded(self, bank):
-        a = load_feature_bank(bank[0], SplitRule(num_tasks=3, seed=1))
-        b = load_feature_bank(bank[0], SplitRule(num_tasks=3, seed=1))
-        c = load_feature_bank(bank[0], SplitRule(num_tasks=3, seed=2))
+        a = load_feature_bank(SplitRule(bank[0], num_tasks=3, seed=1))
+        b = load_feature_bank(SplitRule(bank[0], num_tasks=3, seed=1))
+        c = load_feature_bank(SplitRule(bank[0], num_tasks=3, seed=2))
         assert np.array_equal(a.tasks[0].train_x, b.tasks[0].train_x)
         assert not np.array_equal(a.tasks[0].train_x, c.tasks[0].train_x)
 
     def test_split_fraction(self, bank):
-        stream = load_feature_bank(bank[0], SplitRule(num_tasks=3,
-                                                      train_fraction=0.75))
+        stream = load_feature_bank(SplitRule(bank[0], num_tasks=3,
+                                                train_fraction=0.75))
         for task in stream.tasks:
             for k in task.class_ids:
                 assert int((task.train_y == k).sum()) == 9  # round(0.75 * 12)
@@ -195,7 +195,7 @@ class TestBankIO:
         y = np.array([0, 0, 1, 1])
         write_feature_bank(tmp_path / "b.fb", x, y, {0: "a", 1: "b"})
         stream = load_feature_bank(
-            tmp_path / "b.fb", SplitRule(num_tasks=1, train_fraction=0.99))
+            SplitRule(tmp_path / "b.fb", num_tasks=1, train_fraction=0.99))
         assert stream.tasks[0].train_y.size == 2
         assert stream.tasks[0].test_y.size == 2
 
