@@ -13,7 +13,13 @@ Imports seca from this checkout's ``src/`` and runs, inside OUT_DIR:
   configs;
 - ``gen-data`` on the ``short`` config, then ``train``, ``eval`` and
   ``ablate-classifier`` on the ``bank`` config, which reads that bank by
-  a relative path.
+  a relative path;
+- ``theory-check`` over 30 instances;
+- ``sweep`` of the pool size over 1 and ALL on the ``short`` config;
+- ``report --format md`` over ``ablate-distill`` on ``short`` and that
+  sweep.
+
+So every CLI command runs at least once.
 
 OUT_DIR must not exist yet. Paths are relative to it, so manifests do not
 name the directory.
@@ -68,7 +74,12 @@ def commands() -> list[list[str]]:
             ["train", "--config", "configs/bank.json", "--out", "train/bank"],
             ["eval", "--ckpt", "train/bank/run.ckpt", "--out", "eval/bank"],
             ["ablate-classifier", "--config", "configs/bank.json",
-             "--out", "ablate-classifier/bank"]]
+             "--out", "ablate-classifier/bank"],
+            ["theory-check", "--instances", "30", "--out", "theory-check"],
+            ["sweep", "--param", "pool", "--values", "1", "ALL",
+             "--config", "configs/short.json", "--out", "sweep/pool-short"],
+            ["report", "--format", "md", "--in", "ablate-distill/short",
+             "sweep/pool-short", "--out", "report/md"]]
     return out
 
 

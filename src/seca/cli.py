@@ -30,7 +30,7 @@ from .datastream import BANK_VERSION, flatten_stream, gen_synthetic, \
 from .errors import ConfigError, DataFormatError, SecaError
 from .sevpr import VARIANTS
 from .sgakt import STRATEGIES
-from .trainer import CKPT_VERSION, load_checkpoint, predict, run_stream, \
+from .trainer import CKPT_VERSION, load_checkpoint, predictor, run_stream, \
     save_checkpoint, write_metrics
 
 MANIFEST_VERSION = 1
@@ -122,8 +122,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
     stream = build_stream(state.cfg.data)
-    hits = [predict(state, t.test_x) == t.test_y
-            for t in stream.tasks[:state.task]]
+    predict = predictor(state)
+    hits = [predict(t.test_x) == t.test_y for t in stream.tasks[:state.task]]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = {
@@ -215,6 +215,8 @@ def cmd_gen_data(args) -> int:
 def cmd_theory_check(args) -> int:
     if args.instances < 1:
         raise ConfigError(f"--instances: {args.instances} must be at least 1")
+    if args.seed < 0:
+        raise ConfigError(f"--seed: {args.seed} must be non-negative")
     taus = (0.1, 1.0, 10.0)
     rows = []
     for i in range(args.instances):

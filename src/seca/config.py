@@ -88,6 +88,8 @@ class RunConfig:
         for name in ("agg_lambda", "affinity_gamma", "epochs_per_task"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name}: must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} must be non-negative")
         if not 0.0 <= self.utility_momentum <= 1.0:
             raise ConfigError("utility_momentum: must lie in [0, 1]")
         if self.pool_max is not None and self.pool_max < 1:

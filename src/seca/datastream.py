@@ -99,6 +99,8 @@ class SyntheticSpec:
             raise ConfigError("mean_correlation: must lie in [0, 1]")
         if self.noise < 0.0:
             raise ConfigError("noise: must be non-negative")
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} must be non-negative")
         total = self.num_tasks * self.classes_per_task
         # sign patterns bound how many means stay pairwise separable
         if self.dim < 31 and total > 2 ** self.dim:
@@ -218,6 +220,8 @@ class SplitRule:
             raise ConfigError("train_fraction: must be finite")
         if not 0.0 < self.train_fraction < 1.0:
             raise ConfigError("train_fraction: must lie strictly in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} must be non-negative")
 
 
 def load_feature_bank(rule: SplitRule) -> TaskStream:

@@ -29,6 +29,8 @@ class EncoderConfig:
         for name in ("d_v", "d_t", "layers", "adapter_width", "prompt_tokens"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name}: must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} must be non-negative")
 
 
 def _affine(rng, n_in: int, n_out: int):
@@ -176,8 +178,6 @@ def text_features(
 
 def clip_logits(f, text_feats, tau: float) -> T.Tensor:
     """Cosine similarities against a row matrix of features, divided by tau."""
-    if tau <= 0:
-        raise ConfigError("temperature must be positive")
     feats = text_feats if isinstance(text_feats, T.Tensor) else T.Tensor(text_feats)
     if feats.data.shape[0] == 0:
         raise ValueError("empty class set")

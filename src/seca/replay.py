@@ -15,7 +15,7 @@ import numpy as np
 from . import seeding, tensor as T
 from .datastream import _lock
 from .encoder import clip_logits
-from .errors import ConfigError, ProtocolError
+from .errors import ProtocolError
 from .tensor import cross_entropy_rows, softmax_temp
 
 VAR_FLOOR = 1e-6
@@ -122,8 +122,6 @@ def draw_pseudo_batch(store: ReplayStore, class_ids, batch_size: int,
     ids = list(class_ids)
     if not ids:
         raise ProtocolError("no past classes to replay")
-    if batch_size < 0:
-        raise ConfigError("replay batch size must be non-negative")
     base, extra = divmod(batch_size, len(ids))
     xs, ys = [], []
     for i, k in enumerate(ids):

@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
-
 _TAGS = {"backbone": 1, "adapter": 2, "tokens": 3, "prompt": 4, "text": 5,
          "synth": 6, "split": 7, "theory": 8, "projectors": 9,
          "affinity": 10, "replay": 11, "order": 12, "replay_draw": 13}
 
 
 def seed_sequence(seed: int, tag: str, *extra: int) -> np.random.SeedSequence:
-    if seed < 0:
-        raise ConfigError(f"seed: {seed} must be non-negative")
     return np.random.SeedSequence([int(seed), _TAGS[tag], *extra])
 
 

@@ -92,8 +92,6 @@ class AffinityModel:
     """Trainable projection plus the RBF scale for class-affinity modeling."""
 
     def __init__(self, h_proj: T.Parameter, gamma: float):
-        if gamma < 0:
-            raise ConfigError("affinity scale must be non-negative")
         self.h_proj = h_proj
         self.gamma = float(gamma)
 
@@ -114,8 +112,6 @@ def affinity_matrix(z: T.Tensor, h_proj, gamma: float) -> T.Tensor:
     pins the diagonal to exactly zero before the exp, so M_kk == 1 with no
     tolerance needed.
     """
-    if gamma < 0:
-        raise ConfigError("affinity scale must be non-negative")
     z = z if isinstance(z, T.Tensor) else T.Tensor(z)
     if z.data.ndim != 2 or z.data.shape[0] < 1:
         raise ValueError("need at least one class embedding row")
@@ -226,8 +222,6 @@ class VisualBranch:
 
     def __init__(self, state, class_ids, mixed=None, past=()):
         kind = state.cfg.classifier
-        if kind not in VARIANTS:
-            raise ConfigError(f"unknown classifier variant {kind!r}")
         self.kind, self.state, self.snapshot = kind, state, None
         bank = state.protos
         if kind == "centroid_clip":

@@ -22,7 +22,7 @@ import numpy as np
 from . import seeding, tensor as T
 from .encoder import AdapterStack, EncoderConfig, PromptBank, TextEncoder, \
     VisualBackbone, clip_logits, text_features
-from .errors import ConfigError, ProtocolError
+from .errors import ProtocolError
 
 STRATEGIES = ("seq", "clip_kd", "vanilla", "avg_kd", "sg_akt")
 # strategies whose teacher blends every pool entry by per-entry scores
@@ -39,8 +39,6 @@ class AdapterPool:
     """Bounded list of frozen adapter snapshots with utility scores."""
 
     def __init__(self, max_size: int | None = 5):
-        if max_size is not None and max_size < 1:
-            raise ConfigError("pool max_size must be at least 1 (or None)")
         self.max_size = max_size
         self.entries: list[PoolEntry] = []
 
@@ -57,8 +55,6 @@ class AdapterPool:
 
     def update_utilities(self, batch_alpha, momentum: float) -> None:
         """U_p <- mu U_p + (1 - mu) alpha_p with batch-mean raw scores."""
-        if not 0.0 <= momentum <= 1.0:
-            raise ConfigError("utility momentum must lie in [0, 1]")
         batch_alpha = np.asarray(batch_alpha, dtype=np.float64)
         if batch_alpha.shape != (len(self.entries),):
             raise ValueError("one score per pool entry required")
@@ -154,8 +150,6 @@ def relevance_scores(
 
 def aggregate(views: list[T.Tensor], alpha: T.Tensor, lam: float) -> RelevanceResult:
     """Blend views with row weights softmax(lam * alpha)."""
-    if lam < 0:
-        raise ConfigError("aggregation scale must be non-negative")
     if alpha.data.ndim != 2 or alpha.data.shape[1] != len(views):
         raise ValueError("one score column per view required")
     weights = T.softmax_temp(T.mul(alpha, float(lam)), 1.0)
@@ -182,8 +176,7 @@ def loss_sgakt(
     projectors and prompts feeding v_agg receive nothing from this term.
     """
     with T.no_grad():
-        teacher = T.softmax_temp(clip_logits(v_agg.detach(), text_feats.detach(),
-                                             tau_prime), 1.0)
+        teacher = T.softmax_temp(clip_logits(v_agg, text_feats, tau_prime), 1.0)
     student = T.softmax_temp(clip_logits(f_v, text_feats, tau_prime), 1.0)
     return T.kl_div_rows(teacher, student, eps)
 
@@ -201,8 +194,6 @@ class Teacher:
 
     def __init__(self, strategy: str, backbone: VisualBackbone, x,
                  pool: AdapterPool, text=None):
-        if strategy not in STRATEGIES:
-            raise ConfigError(f"unknown distillation strategy {strategy!r}")
         self.strategy, self.entries, self.text = strategy, len(pool), text
         self.views = self.past = None
         if strategy == "seq" or len(pool) == 0:

@@ -107,9 +107,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._backward: Callable | None = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")

@@ -269,13 +269,23 @@ def predict_scores(state: TrainState, x) -> np.ndarray:
     return _scorer(state)[1](x)
 
 
-def predict(state: TrainState, x) -> np.ndarray:
-    """Predicted global class ids; ties fall to the lowest id."""
+def predictor(state: TrainState):
+    """A function giving predicted global class ids of rows x, scored in
+    EVAL_BATCH chunks by one scorer; ties fall to the lowest id."""
     ids, scores = _scorer(state)
     ids = np.array(ids, dtype=np.int64)
-    out = [ids[np.argmax(scores(x[start:start + EVAL_BATCH]), axis=1)]
-           for start in range(0, x.shape[0], EVAL_BATCH)]
-    return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+
+    def predict_rows(x) -> np.ndarray:
+        out = [ids[np.argmax(scores(x[start:start + EVAL_BATCH]), axis=1)]
+               for start in range(0, x.shape[0], EVAL_BATCH)]
+        return np.concatenate(out) if out else np.zeros(0, dtype=np.int64)
+
+    return predict_rows
+
+
+def predict(state: TrainState, x) -> np.ndarray:
+    """Predicted global class ids; ties fall to the lowest id."""
+    return predictor(state)(x)
 
 
 def accuracy(stream: TaskStream, upto: int, predict_fn) -> float:

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from seca import cli
+from seca import cli, trainer
 from seca.config import parse_config
 from seca.datastream import write_feature_bank
 from seca.errors import NumericsError
@@ -151,8 +151,14 @@ class TestTrain:
          "data.synthetic.noise: must be non-negative"),
         ({"encoder": {"d_v": 0}}, "encoder.d_v: must be >= 1"),
         ({"tau": float("nan")}, "tau: must be finite"),
+        ({"seed": -1}, "seed: -1 must be non-negative"),
+        ({"encoder": {"seed": -2}}, "encoder.seed: -2 must be non-negative"),
+        ({"data": {"synthetic": {"seed": -3}}},
+         "data.synthetic.seed: -3 must be non-negative"),
+        (bank_doc(seed=-4), "data.bank.seed: -4 must be non-negative"),
     ], ids=["num_tasks-0", "num_tasks--3", "train_fraction-0",
-            "train_fraction-1", "train_fraction-1.5", "noise", "d_v", "tau"])
+            "train_fraction-1", "train_fraction-1.5", "noise", "d_v", "tau",
+            "seed", "encoder.seed", "synthetic.seed", "bank.seed"])
     def test_bad_value_names_its_path(self, tmp_path, capsys, doc, message):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps(doc))
@@ -196,6 +202,22 @@ class TestEval:
         assert doc["tasks"] == 2
         assert 0.0 <= doc["overall"] <= 100.0
         assert len(doc["per_task"]) == 2
+
+    def test_one_scorer_serves_every_task(self, train_dir, tmp_path,
+                                          monkeypatch):
+        # the prompts' text features and the refinement are built once per
+        # checkpoint, not once per task
+        calls = []
+
+        def counted(state):
+            calls.append(state.task)
+            return scorer(state)
+
+        scorer = trainer._scorer
+        monkeypatch.setattr(trainer, "_scorer", counted)
+        assert cli.main(["eval", "--ckpt", str(train_dir / "run.ckpt"),
+                         "--out", str(tmp_path / "ev")]) == 0
+        assert calls == [2]
 
     def test_corrupt_checkpoint_exits_3(self, train_dir, tmp_path):
         bad = tmp_path / "bad.ckpt"

@@ -167,6 +167,9 @@ class TestValidation:
     def test_rejected_values(self, field, value):
         with pytest.raises(ConfigError, match=field):
             RunConfig(**{field: value})
+        # the only check of the value: the model code trusts the config
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            parse_config({field: value})
 
     @pytest.mark.parametrize("cls,field", [
         (RunConfig, "tau"), (RunConfig, "tau_prime"), (RunConfig, "agg_lambda"),
@@ -180,6 +183,18 @@ class TestValidation:
         # configs built in code never pass the parser's finiteness check
         with pytest.raises(ConfigError, match=f"^{field}:? must be finite$"):
             cls(**{field: value})
+
+    @pytest.mark.parametrize("path,doc", [
+        ("seed", {"seed": -3}),
+        ("encoder.seed", {"encoder": {"seed": -3}}),
+        ("data.synthetic.seed", {"data": {"synthetic": {"seed": -3}}}),
+        ("data.bank.seed", {"data": {"bank": {"path": "b.bin", "num_tasks": 2,
+                                              "seed": -3}}}),
+    ])
+    def test_negative_seed_names_its_path(self, path, doc):
+        with pytest.raises(ConfigError,
+                           match=f"^{path}: -3 must be non-negative$"):
+            parse_config(doc)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_bank_fraction_non_finite_when_built_in_code(self, value):

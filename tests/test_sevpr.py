@@ -135,12 +135,6 @@ class TestAffinity:
             assert np.array_equal(m, m.T)
             assert np.all(m > 0) and np.all(m <= 1.0)
 
-    def test_negative_gamma_rejected(self):
-        with pytest.raises(ConfigError):
-            affinity_matrix(T.Tensor(unit_rows(0, 2)), T.Parameter(np.eye(10)), -1.0)
-        with pytest.raises(ConfigError):
-            AffinityModel(T.Parameter(np.eye(10)), gamma=-0.5)
-
 
 class TestRefine:
     def test_identity_mixing_is_exact(self):
@@ -407,11 +401,6 @@ class TestClassifierVariants:
         head.add_task(1, [0, 1])
         with pytest.raises(ProtocolError, match="no column for class 2"):
             VisualBranch(branch_state("linear", bank, head=head), [0, 2])
-
-    def test_unknown_kind(self, backbone):
-        bank, f = self.fill_bank(backbone)
-        with pytest.raises(ConfigError):
-            VisualBranch(branch_state("prototype-free", bank), [0])
 
 
 class TestLinearHead:

@@ -12,7 +12,7 @@ from seca.encoder import (
     VisualBackbone,
     text_features,
 )
-from seca.errors import ConfigError, ProtocolError
+from seca.errors import ProtocolError
 from seca.sgakt import (
     STRATEGIES,
     AdapterPool,
@@ -231,10 +231,6 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate(self.views(), T.Tensor(np.zeros((4, 2))), lam=1.0)
 
-    def test_negative_lambda(self):
-        with pytest.raises(ConfigError):
-            aggregate(self.views(), T.Tensor(np.zeros((4, 3))), lam=-1.0)
-
 
 class TestLossAgg:
     def test_collinear_limit(self):
@@ -303,11 +299,6 @@ class TestLossSgakt:
         want = (t * (np.log(t + eps) - np.log(s + eps))).sum() / 4
         loss = loss_sgakt(T.Tensor(va), T.Tensor(fv), T.Tensor(feats), tau_p, eps)
         assert loss.data.item() == pytest.approx(want, abs=1e-12)
-
-    def test_bad_temperature(self):
-        v = T.Tensor(np.ones((1, 12)))
-        with pytest.raises(ConfigError):
-            loss_sgakt(v, v, T.Tensor(np.eye(2, 12)), tau_prime=0.0)
 
 
 class TestGradientRouting:
@@ -425,10 +416,6 @@ class TestPool:
         pool.admit_and_prune(noisy_stack(0))
         with pytest.raises(ValueError):
             pool.update_utilities([0.5, 0.1], momentum=0.5)
-        with pytest.raises(ConfigError):
-            pool.update_utilities([0.5], momentum=1.5)
-        with pytest.raises(ConfigError):
-            AdapterPool(max_size=0)
 
 
 def distill_loss(strategy, *, backbone, x, f_v, pool, projectors, text_feats,
@@ -496,12 +483,6 @@ class TestDistillVariants:
                              None, kw["ys_local"], zero_projectors(), 1.0)
         np.testing.assert_array_equal(res.weights.data,
                                       np.full((4, 3), 1 / 3))
-
-    def test_unknown_strategy(self, world):
-        kw = self.pieces(world, world[3])
-        with pytest.raises(ConfigError):
-            distill_loss("distill-all",
-                         projectors=zero_projectors(), **kw)
 
 
 class TestTeacherViews:
@@ -587,5 +568,3 @@ class TestTeacherViews:
             res, scores = teacher.batch(slice(None), np.zeros(4, np.int64),
                                         zero_projectors(), 1.0)
             assert res is None and scores.shape == (0,)
-        with pytest.raises(ConfigError):
-            Teacher("distill-all", backbone, x, pool)

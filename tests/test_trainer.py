@@ -419,7 +419,123 @@ class TestBatchLoss:
             train_task(state, stream.tasks[0])
 
 
+def loss_terms(ctx, idx) -> dict:
+    """Each term of batch_loss(ctx, idx) alone, by name, in the trainer's
+    order; the replay draw takes the counter without advancing it."""
+    state = ctx.state
+    cfg, s = state.cfg, state.task
+    ys_local = ctx.ys_local[idx]
+    f_v = state.backbone.forward(ctx.x[idx], state.adapter)
+    text_sup = text_features(state.text_enc, state.prompts, ctx.support,
+                             state.prompts.prompts[s])
+    terms = {"ce_t": T.cross_entropy_rows(
+        T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0), ys_local)}
+    visual = ctx.visual
+    visual.refine()
+    vis = visual.probs(f_v, cfg.tau)
+    if vis is not None:
+        terms["ce_v"] = T.cross_entropy_rows(vis, ys_local)
+    if visual.snapshot is not None:
+        terms["reg"] = loss_reg(T.take_rows(visual.refined, visual.past_rows),
+                                visual.snapshot)
+    res, _ = ctx.teacher.batch(idx, ys_local, state.projectors, cfg.agg_lambda)
+    if res is not None:
+        terms["agg"] = loss_agg(res.v_agg, text_sup, ys_local, cfg.tau)
+        terms["kl"] = T.mul(loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime,
+                                       cfg.kl_epsilon), beta_value(cfg, s))
+    if cfg.replay:
+        pseudo = draw_pseudo_batch(state.store, ctx.past, cfg.batch_size,
+                                   _replay_seed(cfg.seed, state.replay_counter))
+        terms["replay_ce_t"], _ = replay_losses(pseudo, text_sup, None,
+                                                ctx.support, cfg.tau)
+        vis = visual.probs(T.Tensor(pseudo.x), cfg.tau)
+        if vis is not None:
+            p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
+            terms["replay_ce_v"] = T.cross_entropy_rows(vis, p_local)
+    return terms
+
+
+# the trainable parameter groups of a routing table
+PROMPT, ADAPTER, PROJ, H_PROJ, HEAD = \
+    "prompt", "adapter", "w_s/w_v", "h_proj", "head"
+
+
+def routing_table(distill, classifier, replay) -> dict:
+    """The groups each loss term trains at a step of a task with a
+    non-empty pool, after that task's first step."""
+    table = {"ce_t": {PROMPT, ADAPTER}}
+    if classifier == "se_vpr":
+        table["ce_v"] = {PROMPT, ADAPTER, H_PROJ}
+        table["reg"] = {PROMPT, H_PROJ}
+    elif classifier == "linear":
+        table["ce_v"] = {ADAPTER, HEAD}
+    if distill != "seq":
+        # the views are pool constants, and only learned relevance puts
+        # the projectors into the blend; the text side is the live prompt's
+        table["agg"] = {PROMPT, PROJ} if distill == "sg_akt" else {PROMPT}
+        table["kl"] = {PROMPT, ADAPTER}  # the teacher side is cut
+    if replay:
+        # pseudo features are constants: only the classifiers train
+        table["replay_ce_t"] = {PROMPT}
+        if classifier == "se_vpr":
+            table["replay_ce_v"] = {PROMPT, H_PROJ}
+        elif classifier == "linear":
+            table["replay_ce_v"] = {HEAD}
+    return table
+
+
 class TestRouting:
+    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("classifier", ["only_text", "linear", "se_vpr"])
+    @pytest.mark.parametrize("distill", ["seq", "avg_kd", "sg_akt"])
+    def test_routing_table(self, distill, classifier, replay):
+        state, stream = run_tasks(make_cfg(distill=distill,
+                                           classifier=classifier,
+                                           replay=replay), upto=2)
+        task = stream.tasks[2]
+        open_task(state, task)
+        ctx = TaskContext(state, task)
+        live = {PROMPT: [state.prompts.prompts[3]],
+                ADAPTER: state.adapter.parameters(),
+                PROJ: state.projectors.parameters(),
+                H_PROJ: state.affinity.parameters(),
+                HEAD: state.head.parameters() if state.head else []}
+        params = [p for group in live.values() for p in group]
+        assert params == _trainables(state)
+        # one step first: the linear head's new block starts at zero, and
+        # a zero block passes no gradient on to the adapter
+        for p in params:
+            p.zero_grad()
+        loss, _ = batch_loss(ctx, np.arange(8))
+        loss.backward()
+        state.optimizer.step(params)
+        frozen = [state.prompts.prompts[1], state.prompts.prompts[2]]
+        frozen += [p for stack in state.pool.stacks for p in stack.parameters()]
+        frozen += [t for blk in state.backbone.blocks for t in blk]
+        for p in frozen[:2] + params:
+            p.zero_grad()
+        rows = np.arange(8, 16)
+
+        routes, total = {}, {p.name: 0.0 for p in params}
+        for name, term in loss_terms(ctx, rows).items():
+            term.backward()
+            routes[name] = {g for g, group in live.items()
+                            if any(np.any(p.grad != 0.0) for p in group)}
+            for t in frozen:
+                assert t.grad is None or not np.any(t.grad), (name, t)
+            for p in params:
+                total[p.name] = total[p.name] + p.grad
+                p.zero_grad()
+        assert len(state.pool) == 2
+        assert routes == routing_table(distill, classifier, replay)
+
+        # the terms are the whole loss: their gradients add up to its own
+        loss, _ = batch_loss(ctx, rows)
+        loss.backward()
+        for p in params:
+            np.testing.assert_allclose(p.grad, total[p.name], rtol=1e-9,
+                                       atol=1e-15, err_msg=p.name)
+
     def test_kl_gradient_stops_at_projectors(self):
         state, stream = run_tasks(make_cfg(), upto=2)
         open_task(state, stream.tasks[2])
