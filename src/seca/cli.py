@@ -30,8 +30,8 @@ from .datastream import BANK_VERSION, flatten_stream, gen_synthetic, \
 from .errors import ConfigError, DataFormatError, SecaError
 from .sevpr import VARIANTS
 from .sgakt import STRATEGIES
-from .trainer import CKPT_VERSION, load_checkpoint, predictor, run_stream, \
-    save_checkpoint, write_metrics
+from .trainer import CKPT_VERSION, check_width, load_checkpoint, predictor, \
+    run_stream, save_checkpoint, write_metrics
 
 MANIFEST_VERSION = 1
 FORMAT_VERSIONS = {
@@ -122,6 +122,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     state = load_checkpoint(args.ckpt)
     stream = build_stream(state.cfg.data)
+    check_width(state.cfg, stream)
     predict = predictor(state)
     hits = [predict(t.test_x) == t.test_y for t in stream.tasks[:state.task]]
     out_dir = Path(args.out)

@@ -201,14 +201,7 @@ def load_config(path) -> RunConfig:
         raise ConfigError(f"config: cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config: invalid JSON in {path}: {e}") from None
-    cfg = parse_config(obj)
-    # only a config file is held to this: RunConfig and checkpoints allow
-    # a stream built apart from cfg.data, which state_for_stream checks
-    synth = cfg.data.synthetic
-    if synth is not None and synth.dim != cfg.encoder.d_v:
-        raise ConfigError(f"data.synthetic.dim: {synth.dim} must equal "
-                          f"encoder.d_v ({cfg.encoder.d_v})")
-    return cfg
+    return parse_config(obj)
 
 
 def config_dict(cfg: RunConfig) -> dict:

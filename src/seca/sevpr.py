@@ -272,19 +272,16 @@ class VisualBranch:
             return visual_prob(f, T.take_rows(self.refined, self.rows), tau)
         return visual_prob(f, self.target, tau)
 
-    def add_terms(self, loss: T.Tensor, f: T.Tensor, ys_local, tau: float,
-                  replay: bool = False) -> T.Tensor:
-        """loss plus the visual cross entropy of f; a training batch, not a
-        replayed one, refines se_vpr first and adds the past rows' drift."""
-        if not replay:
-            self.refine()
+    def terms(self, f: T.Tensor, ys_local, tau: float) -> dict[str, T.Tensor]:
+        """Refine, then the visual cross entropy ``ce_v`` of the training
+        features f, and se_vpr's drift ``reg`` of the past rows."""
+        self.refine()
         vis = self.probs(f, tau)
-        if vis is not None:
-            loss = T.add(loss, T.cross_entropy_rows(vis, ys_local))
-        if self.snapshot is not None and not replay:
-            loss = T.add(loss, loss_reg(T.take_rows(self.refined, self.past_rows),
-                                        self.snapshot))
-        return loss
+        out = {} if vis is None else {"ce_v": T.cross_entropy_rows(vis, ys_local)}
+        if self.snapshot is not None:
+            out["reg"] = loss_reg(T.take_rows(self.refined, self.past_rows),
+                                  self.snapshot)
+        return out
 
     def finish_task(self) -> None:
         """se_vpr: store the refinement by the final prompt, and snapshot it."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -128,10 +129,14 @@ def init_state(cfg: RunConfig, registry_ids, names: dict[int, str],
     )
 
 
-def state_for_stream(cfg: RunConfig, stream: TaskStream) -> TrainState:
+def check_width(cfg: RunConfig, stream: TaskStream) -> None:
     if stream.dim != cfg.encoder.d_v:
         raise ConfigError(f"data: feature dim {stream.dim} must equal "
                           f"encoder.d_v ({cfg.encoder.d_v})")
+
+
+def state_for_stream(cfg: RunConfig, stream: TaskStream) -> TrainState:
+    check_width(cfg, stream)
     ids = sorted(stream.names)
     return init_state(cfg, ids, stream.names, cfg.data.seed)
 
@@ -164,8 +169,9 @@ class TaskContext:
                                (state.text_enc, state.prompts, self.support, s))
 
 
-def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray]:
-    """Composite loss of the training rows idx, and the teacher's scores."""
+def loss_terms(ctx: TaskContext, idx) -> tuple[dict[str, T.Tensor], np.ndarray]:
+    """The named loss terms of the training rows idx in summing order, and
+    the teacher's scores; a replay draw advances the replay counter."""
     state = ctx.state
     cfg = state.cfg
     s = state.task
@@ -175,28 +181,35 @@ def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray]:
     text_sup = text_features(state.text_enc, state.prompts, ctx.support,
                              state.prompts.prompts[s])
     probs_t = T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0)
-    loss = T.cross_entropy_rows(probs_t, ys_local)
-    loss = ctx.visual.add_terms(loss, f_v, ys_local, cfg.tau)
+    terms = {"ce_t": T.cross_entropy_rows(probs_t, ys_local)}
+    terms.update(ctx.visual.terms(f_v, ys_local, cfg.tau))
 
     res, scores = ctx.teacher.batch(idx, ys_local, state.projectors,
                                     cfg.agg_lambda)
     if res is not None:
-        loss = T.add(loss, loss_agg(res.v_agg, text_sup, ys_local, cfg.tau))
+        terms["agg"] = loss_agg(res.v_agg, text_sup, ys_local, cfg.tau)
         kl = loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime, cfg.kl_epsilon)
-        loss = T.add(loss, T.mul(kl, beta_value(cfg, s)))
+        terms["kl"] = T.mul(kl, beta_value(cfg, s))
 
     if cfg.replay and s > 1:
         # replay trains on every seen class, so support == seen here
         seed_b = _replay_seed(cfg.seed, state.replay_counter)
         state.replay_counter += 1
         pseudo = draw_pseudo_batch(state.store, ctx.past, cfg.batch_size, seed_b)
-        lt, _ = replay_losses(pseudo, text_sup, None, ctx.support, cfg.tau)
-        loss = T.add(loss, lt)
-        p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
-        loss = ctx.visual.add_terms(loss, T.Tensor(pseudo.x), p_local, cfg.tau,
-                                    replay=True)
+        terms["replay_ce_t"], _ = replay_losses(pseudo, text_sup, None,
+                                                ctx.support, cfg.tau)
+        vis = ctx.visual.probs(T.Tensor(pseudo.x), cfg.tau)
+        if vis is not None:
+            p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
+            terms["replay_ce_v"] = T.cross_entropy_rows(vis, p_local)
 
-    return loss, scores
+    return terms, scores
+
+
+def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray]:
+    """Left-to-right sum of loss_terms(ctx, idx), and the teacher's scores."""
+    terms, scores = loss_terms(ctx, idx)
+    return reduce(T.add, terms.values()), scores
 
 
 def train_task(state: TrainState, task: TaskData) -> None:

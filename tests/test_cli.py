@@ -241,6 +241,24 @@ class TestEval:
                          "--out", str(ev)]) == 3
         assert not ev.exists()
 
+    def test_bank_of_another_width_exits_2(self, tmp_path, capsys):
+        # trained on a 16-d bank, then a 32-d bank is written at its path
+        bank, run, ev = tmp_path / "b.bin", tmp_path / "run", tmp_path / "ev"
+        labels = np.repeat(np.arange(4), 4)
+        names = {k: str(k) for k in range(4)}
+        write_feature_bank(bank, np.random.default_rng(0).random((16, 16)),
+                           labels, names)
+        cfg = {**TINY, "data": {"bank": {"path": str(bank), "num_tasks": 2}}}
+        (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", str(tmp_path / "cfg.json"),
+                         "--out", str(run)]) == 0
+        write_feature_bank(bank, np.ones((16, 32)), labels, names)
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", str(run / "run.ckpt"),
+                         "--out", str(ev)]) == 2
+        assert "encoder.d_v" in capsys.readouterr().err
+        assert not ev.exists()
+
     @pytest.mark.parametrize("region", ["json", "file"])
     def test_bit_flips_in_json_sections_exit_0_or_3(self, train_dir, tmp_path,
                                                     capsys, region):
@@ -334,7 +352,10 @@ class TestAblations:
         assert cli.main(["ablate-classifier", "--config", str(cfg_path),
                          "--out", str(out)]) == 4
         assert len(calls) == 2
+        # the leaf that finished stays; the matrix's own outputs do not
+        assert (out / "runs" / "only_text" / "0" / "summary.json").exists()
         assert not (out / "rows.json").exists()
+        assert not (out / "manifest.json").exists()
 
 
 class TestSweep:
@@ -471,6 +492,14 @@ class TestGenData:
         assert cli.main(["gen-data", "--config", str(bank_cfg),
                          "--out", str(tmp_path / "gen2")]) == 2
         assert not (tmp_path / "gen2").exists()
+
+    def test_spec_wider_than_the_encoder(self, tmp_path):
+        # gen-data uses no encoder, so its width does not bind the spec
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"data": {"synthetic": {"dim": 8}}}))
+        assert cli.main(["gen-data", "--config", str(cfg),
+                         "--out", str(tmp_path / "gen")]) == 0
+        assert (tmp_path / "gen" / "bank.bin").exists()
 
     def test_negative_seed_leaves_no_dir(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

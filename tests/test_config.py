@@ -206,16 +206,6 @@ class TestValidation:
         with pytest.raises(ConfigError, match="d_t"):
             RunConfig(encoder=EncoderConfig(d_v=32, d_t=16))
 
-    def test_synthetic_dim_must_match_encoder(self, tmp_path):
-        p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"data": {"synthetic": {"dim": 8}}}))
-        with pytest.raises(ConfigError, match=r"data\.synthetic\.dim: 8 must "
-                                              r"equal encoder\.d_v \(64\)"):
-            load_config(p)
-        p.write_text(json.dumps({"encoder": {"d_v": 16, "d_t": 16}}))
-        with pytest.raises(ConfigError, match=r"data\.synthetic\.dim"):
-            load_config(p)
-
     def test_data_exactly_one(self):
         with pytest.raises(ConfigError, match="exactly one"):
             DataConfig(synthetic=None, bank=None)

@@ -1,8 +1,10 @@
-"""The benchmark's tracer can find every seca name it wraps.
+"""The benchmark can find every seca name it wraps or replaces.
 
-``perfbench/spans.py`` looks up kernel ops and layer functions by name, so
-renaming or deleting one of them breaks a traced benchmark run. This
-checks each lookup without installing the tracer.
+``perfbench/spans.py`` looks up kernel ops and layer functions by name, and
+``perfbench/workloads.py`` replaces a few module functions to time and
+count them, so renaming or deleting one of them breaks a benchmark run.
+This checks each lookup without installing the tracer or running a
+workload.
 """
 
 import importlib
@@ -11,7 +13,15 @@ from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+
+# the module functions perfbench/workloads.py replaces while it runs
+PATCHED = [("seca.trainer", "train_task"),
+           ("seca.trainer", "draw_pseudo_batch"),
+           ("seca.trainer", "replay_losses"),
+           ("seca.trainer", "fit_gaussians"),
+           ("seca.cli", "run_stream")]
 
 
 def _spans():
@@ -36,3 +46,9 @@ def test_layer_function_resolves(module, attr):
     for part in attr.split("."):
         obj = getattr(obj, part)
     assert callable(obj)
+
+
+@pytest.mark.parametrize("module,attr", PATCHED)
+def test_patched_function_resolves(module, attr):
+    assert attr in (PERFBENCH / "workloads.py").read_text()
+    assert callable(getattr(importlib.import_module(module), attr))

@@ -9,6 +9,7 @@ complete state digests.
 import hashlib
 import json
 import struct
+from functools import reduce
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -29,9 +30,9 @@ from seca.sevpr import VARIANTS, LinearHead, PrototypeBank, VisualBranch, \
 from seca.sgakt import STRATEGIES, loss_agg, loss_sgakt, semantic_vectors, \
     teacher_result
 from seca.trainer import CKPT_MAGIC, CKPT_VERSION, Adam, Metrics, \
-    TaskContext, _replay_seed, _trainables, accuracy, batch_loss, load_checkpoint, \
-    predict, predict_scores, run_stream, save_checkpoint, state_for_stream, \
-    train_task, write_metrics
+    TaskContext, _replay_seed, _trainables, accuracy, batch_loss, \
+    load_checkpoint, loss_terms, predict, predict_scores, run_stream, \
+    save_checkpoint, state_for_stream, train_task, write_metrics
 
 ENC = EncoderConfig(d_v=16, d_t=16, layers=2, adapter_width=4, seed=1)
 SPEC3 = SyntheticSpec(num_tasks=3, classes_per_task=2, dim=16, superclasses=3,
@@ -413,46 +414,33 @@ class TestBatchLoss:
         for p in params:
             assert np.array_equal(want[p.name], p.grad), p.name
 
+    @pytest.mark.parametrize("replay", [False, True])
+    @pytest.mark.parametrize("classifier", VARIANTS)
+    @pytest.mark.parametrize("distill", STRATEGIES)
+    def test_term_order_and_fold(self, distill, classifier, replay):
+        # task 3: a non-empty pool and past classes, so every term can occur
+        state, stream = run_tasks(make_cfg(distill=distill, replay=replay,
+                                           classifier=classifier), upto=2)
+        open_task(state, stream.tasks[2])
+        ctx, counter = TaskContext(state, stream.tasks[2]), state.replay_counter
+        terms, scores = loss_terms(ctx, np.arange(8))
+        visual = classifier != "only_text"
+        want = ["ce_t"] + ["ce_v"] * visual + ["reg"] * (classifier == "se_vpr")
+        want += ["agg", "kl"] * (distill != "seq")
+        want += ["replay_ce_t"] * replay + ["replay_ce_v"] * (replay and visual)
+        assert list(terms) == want
+
+        state.replay_counter = counter
+        loss, got = batch_loss(ctx, np.arange(8))
+        assert state.replay_counter == counter + replay
+        assert np.array_equal(got, scores)
+        assert np.array_equal(loss.data, reduce(np.add, [
+            t.data for t in terms.values()]))
+
     def test_repeated_labels_rejected(self):
         state, stream = run_tasks(make_cfg(epochs_per_task=0), upto=1)
         with pytest.raises(ProtocolError, match="seen in an earlier task"):
             train_task(state, stream.tasks[0])
-
-
-def loss_terms(ctx, idx) -> dict:
-    """Each term of batch_loss(ctx, idx) alone, by name, in the trainer's
-    order; the replay draw takes the counter without advancing it."""
-    state = ctx.state
-    cfg, s = state.cfg, state.task
-    ys_local = ctx.ys_local[idx]
-    f_v = state.backbone.forward(ctx.x[idx], state.adapter)
-    text_sup = text_features(state.text_enc, state.prompts, ctx.support,
-                             state.prompts.prompts[s])
-    terms = {"ce_t": T.cross_entropy_rows(
-        T.softmax_temp(clip_logits(f_v, text_sup, cfg.tau), 1.0), ys_local)}
-    visual = ctx.visual
-    visual.refine()
-    vis = visual.probs(f_v, cfg.tau)
-    if vis is not None:
-        terms["ce_v"] = T.cross_entropy_rows(vis, ys_local)
-    if visual.snapshot is not None:
-        terms["reg"] = loss_reg(T.take_rows(visual.refined, visual.past_rows),
-                                visual.snapshot)
-    res, _ = ctx.teacher.batch(idx, ys_local, state.projectors, cfg.agg_lambda)
-    if res is not None:
-        terms["agg"] = loss_agg(res.v_agg, text_sup, ys_local, cfg.tau)
-        terms["kl"] = T.mul(loss_sgakt(res.v_agg, f_v, text_sup, cfg.tau_prime,
-                                       cfg.kl_epsilon), beta_value(cfg, s))
-    if cfg.replay:
-        pseudo = draw_pseudo_batch(state.store, ctx.past, cfg.batch_size,
-                                   _replay_seed(cfg.seed, state.replay_counter))
-        terms["replay_ce_t"], _ = replay_losses(pseudo, text_sup, None,
-                                                ctx.support, cfg.tau)
-        vis = visual.probs(T.Tensor(pseudo.x), cfg.tau)
-        if vis is not None:
-            p_local = np.array([ctx.pos[int(k)] for k in pseudo.y], np.int64)
-            terms["replay_ce_v"] = T.cross_entropy_rows(vis, p_local)
-    return terms
 
 
 # the trainable parameter groups of a routing table
@@ -517,7 +505,8 @@ class TestRouting:
         rows = np.arange(8, 16)
 
         routes, total = {}, {p.name: 0.0 for p in params}
-        for name, term in loss_terms(ctx, rows).items():
+        counter = state.replay_counter
+        for name, term in loss_terms(ctx, rows)[0].items():
             term.backward()
             routes[name] = {g for g, group in live.items()
                             if any(np.any(p.grad != 0.0) for p in group)}
@@ -530,6 +519,7 @@ class TestRouting:
         assert routes == routing_table(distill, classifier, replay)
 
         # the terms are the whole loss: their gradients add up to its own
+        state.replay_counter = counter
         loss, _ = batch_loss(ctx, rows)
         loss.backward()
         for p in params:
