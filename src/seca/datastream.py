@@ -230,7 +230,11 @@ def load_feature_bank(rule: SplitRule) -> TaskStream:
     Every class keeps at least one sample on each side of the split, which
     needs two samples per class in the bank.
     """
-    features, labels, names = read_feature_bank(rule.path)
+    try:
+        features, labels, names = read_feature_bank(rule.path)
+    except OSError as e:
+        raise OSError(f"data.bank.path {rule.path}: {e.strerror}; a relative "
+                      "path is read from the working directory") from e
     num_classes = len(names)
     if num_classes % rule.num_tasks != 0:
         raise ConfigError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding, tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, ProtocolError
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,7 @@ class PromptBank:
 
     def new_prompt(self, task: int, seed: int) -> T.Parameter:
         if task in self.prompts:
-            raise ConfigError(f"prompt for task {task} already exists")
+            raise ProtocolError(f"prompt for task {task} already exists")
         rng = seeding.rng(seed, "prompt", task)
         shape = (self.cfg.prompt_tokens, self.cfg.d_t)
         p = T.Parameter(0.02 * rng.standard_normal(shape), name=f"prompt.{task}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import seeding, tensor as T
 from .encoder import EncoderConfig, clip_logits, text_features
-from .errors import ConfigError, ProtocolError
+from .errors import ProtocolError
 
 VARIANTS = ("only_text", "centroid_clip", "centroid_adapted", "linear", "se_vpr")
 
@@ -171,7 +171,7 @@ class LinearHead:
 
     def add_task(self, task: int, class_ids) -> None:
         if task in self.blocks:
-            raise ConfigError(f"head block for task {task} already exists")
+            raise ProtocolError(f"head block for task {task} already exists")
         c = len(class_ids)
         self.blocks[task] = (
             T.Parameter(np.zeros((c, self.dim)), name=f"head.{task}.w"),
@@ -245,13 +245,11 @@ class VisualBranch:
 
     @staticmethod
     def write_task(state, x, y, class_ids) -> None:
-        """A new task's raw means, and adapted means or a head block."""
+        """A new task's raw means, and adapted means for centroid_adapted."""
         raw_prototypes(state.protos, state.backbone, x, y, class_ids)
         if state.cfg.classifier == "centroid_adapted":
             adapted_prototypes(state.protos, state.backbone, state.adapter, x,
                                y, class_ids)
-        elif state.cfg.classifier == "linear":
-            state.head.add_task(state.task, class_ids)
 
     def refine(self) -> None:
         """se_vpr: mix the raw means by the live prompt's text affinity."""

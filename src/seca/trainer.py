@@ -88,7 +88,6 @@ class Adam:
 class TrainState:
     cfg: RunConfig
     names: dict[int, str]
-    registry_seed: int
     backbone: VisualBackbone
     text_enc: TextEncoder
     prompts: PromptBank
@@ -100,24 +99,25 @@ class TrainState:
     head: LinearHead | None
     store: ReplayStore | None
     optimizer: Adam
-    task: int = 0
     seen: list[tuple[int, ...]] = field(default_factory=list)
     replay_counter: int = 0
+
+    @property
+    def task(self) -> int:
+        return len(self.seen)
 
     def seen_ids(self) -> list[int]:
         return [k for ids in self.seen for k in ids]
 
 
-def init_state(cfg: RunConfig, registry_ids, names: dict[int, str],
-               registry_seed: int) -> TrainState:
+def init_state(cfg: RunConfig, names: dict[int, str]) -> TrainState:
     enc = cfg.encoder
     return TrainState(
         cfg=cfg,
         names=dict(names),
-        registry_seed=int(registry_seed),
         backbone=VisualBackbone(enc),
         text_enc=TextEncoder(enc),
-        prompts=PromptBank(enc, list(registry_ids), registry_seed),
+        prompts=PromptBank(enc, sorted(names), cfg.data.seed),
         adapter=AdapterStack(enc, seed=cfg.seed),
         pool=AdapterPool(cfg.pool_max),
         projectors=SemanticProjectors.create(enc, cfg.seed),
@@ -137,8 +137,7 @@ def check_width(cfg: RunConfig, stream: TaskStream) -> None:
 
 def state_for_stream(cfg: RunConfig, stream: TaskStream) -> TrainState:
     check_width(cfg, stream)
-    ids = sorted(stream.names)
-    return init_state(cfg, ids, stream.names, cfg.data.seed)
+    return init_state(cfg, stream.names)
 
 
 def _trainables(state: TrainState) -> list[T.Parameter]:
@@ -212,24 +211,35 @@ def batch_loss(ctx: TaskContext, idx) -> tuple[T.Tensor, np.ndarray]:
     return reduce(T.add, terms.values()), scores
 
 
+def _grow(state: TrainState, ids: list[int]) -> None:
+    """The data-free part of entering a task: refuse a repeated class,
+    record the ids, and make the prompt and any head block."""
+    known = state.seen_ids()
+    repeated = sorted({k for k in ids if k in known or ids.count(k) > 1})
+    if repeated:
+        raise ProtocolError(f"classes {repeated} were seen in an earlier "
+                            "task or twice in this one")
+    state.seen.append(tuple(ids))
+    state.prompts.new_prompt(state.task, state.cfg.seed)
+    if state.head is not None:
+        state.head.add_task(state.task, ids)
+
+
+def open_task(state: TrainState, task: TaskData) -> TaskContext:
+    """Enter the next task, write its class means, and return the
+    context its steps share."""
+    _grow(state, [int(k) for k in task.class_ids])
+    VisualBranch.write_task(state, task.train_x, task.train_y, state.seen[-1])
+    return TaskContext(state, task)
+
+
 def train_task(state: TrainState, task: TaskData) -> None:
     cfg = state.cfg
-    new_ids = [int(k) for k in task.class_ids]
-    overlap = set(state.seen_ids()) & set(new_ids)
-    if overlap:
-        raise ProtocolError(f"classes {sorted(overlap)} were seen in an "
-                            "earlier task")
-    state.task += 1
-    s = state.task
-    state.seen.append(tuple(new_ids))
-    state.prompts.new_prompt(s, cfg.seed)
-    VisualBranch.write_task(state, task.train_x, task.train_y, new_ids)
-
-    ctx = TaskContext(state, task)
+    ctx = open_task(state, task)
     params = _trainables(state)
     n = task.train_x.shape[0]
     for epoch in range(cfg.epochs_per_task):
-        order = seeding.rng(cfg.seed, "order", s, epoch).permutation(n)
+        order = seeding.rng(cfg.seed, "order", state.task, epoch).permutation(n)
         for start in range(0, n, cfg.batch_size):
             for p in params:
                 p.zero_grad()
@@ -239,13 +249,13 @@ def train_task(state: TrainState, task: TaskData) -> None:
             state.pool.update_utilities(scores, cfg.utility_momentum)
 
     # boundary bookkeeping; order matters for the snapshot semantics
-    state.prompts.freeze_task(s)
+    state.prompts.freeze_task(state.task)
     ctx.visual.finish_task()
     state.pool.admit_and_prune(state.adapter)
     if cfg.replay:
         with T.no_grad():
             feats = state.backbone.forward(task.train_x, state.adapter).data
-        fit_gaussians(state.store, feats, task.train_y, new_ids,
+        fit_gaussians(state.store, feats, task.train_y, state.seen[-1],
                       full_cov=cfg.replay_full_cov)
 
 
@@ -396,7 +406,7 @@ def save_checkpoint(path, state: TrainState) -> None:
         "task": state.task,
         "seen": [list(ids) for ids in state.seen],
         "replay_counter": state.replay_counter,
-        "registry_seed": state.registry_seed,
+        "registry_seed": state.cfg.data.seed,
         "names": {str(k): v for k, v in state.names.items()},
     }
     d = state.cfg.encoder.d_v
@@ -453,27 +463,22 @@ def _restore(arrays: codec.Frames) -> TrainState:
     config = arrays.take("config", np.uint8, None).tobytes()
     cfg = parse_config(json.loads(config))
     names = {int(k): v for k, v in meta["names"].items()}
-    state = init_state(cfg, sorted(names), names, meta["registry_seed"])
-    state.task = int(meta["task"])
-    state.seen = [tuple(int(k) for k in ids) for ids in meta["seen"]]
+    state = init_state(cfg, names)
+    # rebuild the parameter skeleton task by task, then fill it frame by frame
+    for ids in meta["seen"]:
+        _grow(state, [int(k) for k in ids])
+        state.prompts.freeze_task(state.task)
     state.replay_counter = int(meta["replay_counter"])
     seen = set(state.seen_ids())
-    if len(state.seen) != state.task or not seen <= set(names):
-        raise ValueError("seen classes disagree with the task count or the "
-                         "class registry")
-
-    # rebuild the parameter skeleton, then fill it frame by frame
-    for t in range(1, state.task + 1):
-        state.prompts.new_prompt(t, cfg.seed)
-        state.prompts.freeze_task(t)
+    if int(meta["task"]) != state.task or not seen <= set(names) \
+            or meta["registry_seed"] != cfg.data.seed:
+        raise ValueError("meta's task count, seen classes or registry seed "
+                         "disagree with each other or with the config")
     utilities = arrays.take("pool.utilities", np.float64, None)
     if cfg.pool_max is not None and utilities.size > cfg.pool_max:
         raise ValueError("adapter pool exceeds pool_max")
     for u in utilities.tolist():
         state.pool.entries.append(PoolEntry(state.adapter.freeze_copy(), u))
-    if state.head is not None:
-        for t, ids in enumerate(state.seen, start=1):
-            state.head.add_task(t, ids)
     by_name = {}
     for frame, p in _parameter_frames(state).items():
         p.data[...] = arrays.take(frame, p.data.dtype, *p.data.shape)

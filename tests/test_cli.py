@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from seca import cli, trainer
+from seca.codec import decode, encode, json_array
 from seca.config import parse_config
 from seca.datastream import write_feature_bank
 from seca.errors import NumericsError
@@ -240,6 +241,45 @@ class TestEval:
         assert cli.main(["eval", "--ckpt", str(run / "run.ckpt"),
                          "--out", str(ev)]) == 3
         assert not ev.exists()
+
+    def test_relative_bank_path_from_another_directory(self, cfg_path,
+                                                       tmp_path, monkeypatch,
+                                                       capsys):
+        # the bank path is read from the working directory, so the same
+        # checkpoint cannot find its bank from the directory above
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert cli.main(["gen-data", "--config", str(cfg_path),
+                         "--out", "gen"]) == 0
+        cfg = {**TINY, "data": {"bank": {"path": "gen/bank.bin",
+                                         "num_tasks": 2}}}
+        (work / "bank.json").write_text(json.dumps(cfg))
+        assert cli.main(["train", "--config", "bank.json",
+                         "--out", "run"]) == 0
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["eval", "--ckpt", "work/run/run.ckpt",
+                         "--out", "ev"]) == 3
+        err = capsys.readouterr().err
+        assert "data.bank.path gen/bank.bin" in err
+        assert "read from the working directory" in err
+        assert not (tmp_path / "ev").exists()
+
+    def test_meta_disagreeing_with_the_config_exits_3(self, train_dir,
+                                                      tmp_path):
+        # a registry seed other than the config's data seed used to load
+        # and score with another class-token table
+        arrays = decode((train_dir / "run.ckpt").read_bytes(),
+                        trainer.CKPT_MAGIC, trainer.CKPT_VERSION, "checkpoint")
+        meta = json.loads(arrays["meta"].tobytes())
+        arrays["meta"] = json_array({**meta, "registry_seed": 7})
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(encode(arrays, trainer.CKPT_MAGIC,
+                               trainer.CKPT_VERSION))
+        assert cli.main(["eval", "--ckpt", str(bad),
+                         "--out", str(tmp_path / "ev")]) == 3
+        assert not (tmp_path / "ev").exists()
 
     def test_bank_of_another_width_exits_2(self, tmp_path, capsys):
         # trained on a 16-d bank, then a 32-d bank is written at its path

@@ -15,6 +15,7 @@ from seca.encoder import (
     clip_logits,
     text_features,
 )
+from seca.errors import ProtocolError
 
 CFG = EncoderConfig(d_v=16, d_t=16, layers=3, adapter_width=4, prompt_tokens=2, seed=5)
 
@@ -109,6 +110,13 @@ class TestTextForward:
         for c in bank.class_ids:
             out = text_features(enc, bank, [c], p).data[0]
             assert abs(np.linalg.norm(out) - 1.0) < 1e-6
+
+    def test_repeated_task_prompt(self):
+        bank = self._bank()
+        p = bank.new_prompt(1, seed=0)
+        with pytest.raises(ProtocolError, match="task 1 already exists") as e:
+            bank.new_prompt(1, seed=0)
+        assert e.value.exit_code == 2 and bank.prompts[1] is p
 
     def test_unknown_class(self):
         bank = self._bank()

@@ -8,7 +8,7 @@ import pytest
 import seca.tensor as T
 from seca.encoder import AdapterStack, EncoderConfig, PromptBank, \
     TextEncoder, VisualBackbone
-from seca.errors import ConfigError, ProtocolError
+from seca.errors import ProtocolError
 from seca.sevpr import (
     AffinityModel,
     LinearHead,
@@ -436,8 +436,9 @@ class TestLinearHead:
     def test_duplicate_task(self):
         head = LinearHead(10)
         head.add_task(1, [0])
-        with pytest.raises(ConfigError):
+        with pytest.raises(ProtocolError, match="task 1 already exists") as e:
             head.add_task(1, [1])
+        assert e.value.exit_code == 2
 
     def test_empty_head_logits(self):
         with pytest.raises(ProtocolError):

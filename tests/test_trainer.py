@@ -18,21 +18,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seca import tensor as T
-from seca.codec import decode, encode
+from seca.codec import decode, encode, json_array
 from seca.config import DataConfig, RunConfig, beta_value, build_stream
 from seca.datastream import BANK_MAGIC, BANK_VERSION, SyntheticSpec, \
     gen_synthetic
 from seca.encoder import EncoderConfig, clip_logits, text_features
 from seca.errors import DataFormatError, ProtocolError
 from seca.replay import draw_pseudo_batch, replay_losses, sample
-from seca.sevpr import VARIANTS, LinearHead, PrototypeBank, VisualBranch, \
+from seca.sevpr import VARIANTS, LinearHead, PrototypeBank, \
     affinity_matrix, loss_ce_v, loss_reg, refine_prototypes, visual_prob
 from seca.sgakt import STRATEGIES, loss_agg, loss_sgakt, semantic_vectors, \
     teacher_result
 from seca.trainer import CKPT_MAGIC, CKPT_VERSION, Adam, Metrics, \
     TaskContext, _replay_seed, _trainables, accuracy, batch_loss, \
-    load_checkpoint, loss_terms, predict, predict_scores, run_stream, \
-    save_checkpoint, state_for_stream, train_task, write_metrics
+    load_checkpoint, loss_terms, open_task, predict, predict_scores, \
+    run_stream, save_checkpoint, state_for_stream, train_task, write_metrics
 
 ENC = EncoderConfig(d_v=16, d_t=16, layers=2, adapter_width=4, seed=1)
 SPEC3 = SyntheticSpec(num_tasks=3, classes_per_task=2, dim=16, superclasses=3,
@@ -53,15 +53,6 @@ def run_tasks(cfg, upto=None):
     for task in stream.tasks[:upto]:
         train_task(state, task)
     return state, stream
-
-
-def open_task(state, task):
-    """Mid-task state: bookkeeping done, prompt live, no steps taken yet."""
-    ids = [int(k) for k in task.class_ids]
-    state.task += 1
-    state.seen.append(tuple(ids))
-    state.prompts.new_prompt(state.task, state.cfg.seed)
-    VisualBranch.write_task(state, task.train_x, task.train_y, ids)
 
 
 def open_first_task(cfg):
@@ -392,7 +383,7 @@ class TestBatchLoss:
         # context's views, labels and semantic blocks are taken by index
         state, stream = run_tasks(make_cfg(distill=distill), upto=2)
         task = stream.tasks[2]
-        open_task(state, task)
+        ctx = open_task(state, task)
         idx = np.array([13, 2, 7, 11, 0, 5, 9])
         params = _trainables(state)
 
@@ -404,7 +395,7 @@ class TestBatchLoss:
 
         for p in params:
             p.zero_grad()
-        loss, scores = batch_loss(TaskContext(state, task), idx)
+        loss, scores = batch_loss(ctx, idx)
         loss.backward()
         assert len(state.pool) == 2 and scores.shape == (2,)
         # only learned relevance scores the entries; the rest only decay
@@ -421,8 +412,7 @@ class TestBatchLoss:
         # task 3: a non-empty pool and past classes, so every term can occur
         state, stream = run_tasks(make_cfg(distill=distill, replay=replay,
                                            classifier=classifier), upto=2)
-        open_task(state, stream.tasks[2])
-        ctx, counter = TaskContext(state, stream.tasks[2]), state.replay_counter
+        ctx, counter = open_task(state, stream.tasks[2]), state.replay_counter
         terms, scores = loss_terms(ctx, np.arange(8))
         visual = classifier != "only_text"
         want = ["ce_t"] + ["ce_v"] * visual + ["reg"] * (classifier == "se_vpr")
@@ -480,9 +470,7 @@ class TestRouting:
         state, stream = run_tasks(make_cfg(distill=distill,
                                            classifier=classifier,
                                            replay=replay), upto=2)
-        task = stream.tasks[2]
-        open_task(state, task)
-        ctx = TaskContext(state, task)
+        ctx = open_task(state, stream.tasks[2])
         live = {PROMPT: [state.prompts.prompts[3]],
                 ADAPTER: state.adapter.parameters(),
                 PROJ: state.projectors.parameters(),
@@ -894,6 +882,15 @@ class TestMetrics:
         assert summary == m.summary()
 
 
+def edited_meta(edit):
+    """A change that applies edit to the parsed meta document."""
+    def change(frame):
+        meta = json.loads(frame.tobytes())
+        edit(meta)
+        return json_array(meta)
+    return change
+
+
 # (frame, change) pairs that frame and digest correctly but do not fit the
 # state the stored config builds; a change is an array, a function of the
 # stored array, or None to drop the frame
@@ -913,6 +910,16 @@ MISFIT = {
     "optim-m": ("optim.m.proj.w_s", np.zeros(3)),
     "optim-t-unknown": ("optim.t.proj.w_x", np.ones(1, dtype=np.int64)),
     "meta-float": ("meta", lambda a: a.astype(np.float64)),
+    # the registry seed is the config's data seed (3 here)
+    "meta-registry-seed": ("meta", edited_meta(
+        lambda m: m.update(registry_seed=7))),
+    # the last task also lists the first task's first class
+    "meta-class-repeated": ("meta", edited_meta(
+        lambda m: m["seen"][-1].append(m["seen"][0][0]))),
+    "meta-class-twice-in-a-task": ("meta", edited_meta(
+        lambda m: m["seen"][-1].append(m["seen"][-1][0]))),
+    "meta-task-count": ("meta", edited_meta(
+        lambda m: m.update(task=m["task"] - 1))),
     "affinity-missing": ("affinity.h_proj", None),
     "unexpected-frame": ("bogus", np.zeros(1)),
 }
