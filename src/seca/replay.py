@@ -89,10 +89,12 @@ def fit_gaussians(store: ReplayStore, feats, ys, class_ids,
 
 
 def sample(store: ReplayStore, class_id: int, n: int, seed: int) -> np.ndarray:
-    """Draw n pseudo features from one stored class, float32.
+    """Draw n pseudo features from one stored class, as float32.
 
-    The stream is keyed by (seed, class), so equal seeds reproduce the
-    batch and different classes never share draws.
+    float32 is the precision features are stored in; the losses convert
+    the draws to float64 to compute on them. The stream is keyed by
+    (seed, class), so equal seeds reproduce the batch and different
+    classes never share draws.
     """
     if class_id not in store.classes:
         raise ProtocolError(f"class {class_id} has no fitted distribution")
@@ -147,7 +149,7 @@ def replay_losses(batch: PseudoBatch, text_feats, refined, support,
     if len(index) != rows.shape[0]:
         raise ValueError("support does not match classifier rows")
     if batch.x.shape[0] == 0:
-        zero = T.scalar(0.0, dtype=batch.x.dtype)
+        zero = T.scalar(0.0)
         return zero, zero
     try:
         local = np.array([index[int(k)] for k in batch.y], dtype=np.int64)
@@ -156,6 +158,6 @@ def replay_losses(batch: PseudoBatch, text_feats, refined, support,
     f = T.Tensor(batch.x)
     lt = cross_entropy_rows(softmax_temp(clip_logits(f, text_feats, tau), 1.0), local)
     if refined is None:
-        return lt, T.scalar(0.0, dtype=batch.x.dtype)
+        return lt, T.scalar(0.0)
     lv = cross_entropy_rows(softmax_temp(clip_logits(f, refined, tau), 1.0), local)
     return lt, lv

@@ -228,8 +228,7 @@ class Teacher:
                                                  bank.prompts[task])]
             alpha = relevance_scores(sem, views, ys_local, projectors)
         else:
-            n = views[0].data.shape[0]
-            alpha = T.Tensor(np.zeros((n, len(views)), dtype=views[0].data.dtype))
+            alpha = T.Tensor(np.zeros((views[0].data.shape[0], len(views))))
         res = aggregate(views, alpha, lam)
         return res, (alpha.data.mean(axis=0) if self.strategy in POOL_STRATEGIES
                      else np.zeros(self.entries))

@@ -1,7 +1,8 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
-A deliberately small kernel: 1-D vectors and 2-D row batches, float32 or
-float64, with exactly the operations the losses need. Ops are plain
+A deliberately small kernel: 1-D vectors and 2-D row batches in float64,
+with exactly the operations the losses need. Data of any other dtype
+(narrower stored floats, ints) is converted on the way in. Ops are plain
 functions (``add(a, b)``); a Tensor has no operator protocol. Graphs are
 built eagerly; ``backward`` on a scalar accumulates gradients into leaves.
 ``no_grad`` switches graph construction off for the current thread, which
@@ -97,9 +98,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(np.float64)
+        arr = np.asarray(data, dtype=np.float64)
         _ensure_finite(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
@@ -171,7 +170,15 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def _wrap(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """x itself if a Tensor, else a float64 constant around it.
+
+    A scalar or 0-d operand bypasses the constructor: one ``math.isfinite``
+    checks it.
+    """
+    if isinstance(x, Tensor):
+        return x
+    arr = np.asarray(x, dtype=np.float64)
+    return Tensor(arr) if arr.ndim else _node(_scalar_array(arr))
 
 
 def _node(data: np.ndarray) -> Tensor:
@@ -185,40 +192,12 @@ def _node(data: np.ndarray) -> Tensor:
     return out
 
 
-def _scalar_array(x, dtype) -> np.ndarray:
-    """A scalar operand as a 0-d array of ``dtype``, checked after the cast.
-
-    1e40 overflows float32, so the operand is refused even where the op's
-    output would be finite (``div(x, inf)``).
-    """
-    arr = np.asarray(x, dtype=dtype)
+def _scalar_array(x) -> np.ndarray:
+    """A scalar as a 0-d float64 array; refuses a non-finite one."""
+    arr = np.asarray(x, dtype=np.float64)
     if not math.isfinite(arr):
         raise NumericsError("non-finite scalar operand")
     return arr
-
-
-def _constant(x: np.ndarray, dtype) -> Tensor:
-    """A 0-d operand as a constant of ``dtype``, without the constructor."""
-    return _node(_scalar_array(x, dtype))
-
-
-def _coerce_pair(a, b) -> tuple[Tensor, Tensor]:
-    """Wrap operands, casting scalars and 0-d arrays to the tensor's dtype.
-
-    0-d float64 arrays are "strong" under numpy 2 promotion and would drag a
-    float32 graph up to float64; array operands keep their own dtype so a
-    genuine precision mix stays visible.
-    """
-    if isinstance(a, Tensor):
-        if isinstance(b, Tensor):
-            return a, b
-        arr = np.asarray(b)
-        return a, (_constant(arr, a.data.dtype) if arr.ndim == 0 else Tensor(arr))
-    if isinstance(b, Tensor):
-        arr = np.asarray(a)
-        return (_constant(arr, b.data.dtype) if arr.ndim == 0 else Tensor(arr)), b
-    a = _wrap(a)
-    return a, _wrap(b)
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable,
@@ -250,7 +229,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    a, b = _wrap(a), _wrap(b)
     out = a.data + b.data
 
     def backward(g):
@@ -260,7 +239,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    a, b = _wrap(a), _wrap(b)
     out = a.data * b.data
 
     def backward(g):
@@ -273,7 +252,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    a, b = _wrap(a), _wrap(b)
     out = a.data / b.data
 
     def backward(g):
@@ -314,7 +293,7 @@ def _matmul_grads(a: np.ndarray, b: np.ndarray, g, need_a: bool = True,
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _coerce_pair(a, b)
+    a, b = _wrap(a), _wrap(b)
     out = np.matmul(a.data, b.data)
 
     def backward(g):
@@ -614,7 +593,7 @@ def cross_entropy(p, y: int) -> Tensor:
     if not 0 <= y < p.data.shape[0]:
         raise ValueError("class index out of range")
     py = p.data[y] + LOG_CLAMP
-    out = np.asarray(-np.log(py), dtype=p.data.dtype)
+    out = np.asarray(-np.log(py))
 
     def backward(g):
         z = np.zeros_like(p.data)
@@ -635,7 +614,7 @@ def cross_entropy_rows(p, ys) -> Tensor:
     if ys.size and (ys.min() < 0 or ys.max() >= p.data.shape[1]):
         raise ValueError("class index out of range")
     pv = p.data[rows, ys] + LOG_CLAMP
-    out = np.asarray(-np.log(pv).mean(), dtype=p.data.dtype)
+    out = np.asarray(-np.log(pv).mean())
 
     def backward(g):
         z = np.zeros_like(p.data)
@@ -646,7 +625,9 @@ def cross_entropy_rows(p, ys) -> Tensor:
 
 
 def _teacher_array(teacher) -> np.ndarray:
-    arr = teacher.data if isinstance(teacher, Tensor) else np.asarray(teacher)
+    if isinstance(teacher, Tensor):
+        teacher = teacher.data
+    arr = np.asarray(teacher, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("teacher probabilities must be nonnegative")
     return arr
@@ -665,7 +646,7 @@ def kl_div(teacher, student, eps: float = KL_EPS_DEFAULT) -> Tensor:
     if t.shape != s.data.shape or t.ndim != 1:
         raise ValueError("kl_div expects two 1-D vectors of equal length")
     sd = s.data + eps
-    out = np.asarray((t * (np.log(t + eps) - np.log(sd))).sum(), dtype=s.data.dtype)
+    out = np.asarray((t * (np.log(t + eps) - np.log(sd))).sum())
 
     def backward(g):
         return (-g * t / sd,)
@@ -681,9 +662,7 @@ def kl_div_rows(teacher, student, eps: float = KL_EPS_DEFAULT) -> Tensor:
         raise ValueError("kl_div_rows expects two 2-D arrays of equal shape")
     n = t.shape[0]
     sd = s.data + eps
-    out = np.asarray(
-        (t * (np.log(t + eps) - np.log(sd))).sum() / n, dtype=s.data.dtype
-    )
+    out = np.asarray((t * (np.log(t + eps) - np.log(sd))).sum() / n)
 
     def backward(g):
         return (-g * t / (sd * n),)
@@ -723,7 +702,7 @@ def text_embed(tokens, prompt, w1, b1, w2, b2) -> Tensor:
     psum = _add_reduce(prompt.data, axis=0)
     _ensure_finite(psum)
     summed = tok + psum
-    scale = np.asarray(1.0 / (prompt.data.shape[0] + 1), dtype=summed.dtype)
+    scale = 1.0 / (prompt.data.shape[0] + 1)
     pooled = summed * scale
     mid, f = _ffn_forward(pooled, w1, b1, w2, b2)
     h = pooled + f
@@ -751,7 +730,7 @@ def cosine_logits(a, b, tau: float) -> Tensor:
     an, na = _unit_rows(a.data)
     bn, nb = _unit_rows(b.data)
     cos = np.matmul(an, bn.T)
-    scale = _scalar_array(1.0 / tau, cos.dtype)
+    scale = _scalar_array(1.0 / tau)
     out = cos * scale
 
     def backward(g):
@@ -778,14 +757,12 @@ def rbf_affinity(z, h, gamma: float) -> Tensor:
     z, h = _wrap(z), _wrap(h)
     a = np.matmul(z.data, h.data)
     gram0 = np.matmul(a, a.T)
-    half = np.asarray(0.5, dtype=gram0.dtype)
-    gram = (gram0 + gram0.T) * half
+    gram = (gram0 + gram0.T) * 0.5
     k = gram.shape[0]
     idx = np.arange(k)
     s = gram[idx, idx]
-    m2 = np.asarray(-2.0, dtype=gram.dtype)
-    d2 = (s.reshape(k, 1) + s.reshape(1, k)) + gram * m2
-    neg_gamma = _scalar_array(-float(gamma), d2.dtype)
+    d2 = (s.reshape(k, 1) + s.reshape(1, k)) + gram * -2.0
+    neg_gamma = _scalar_array(-float(gamma))
     e = np.maximum(d2, 0.0) * neg_gamma
     _ensure_finite(e)
     out = np.exp(e)
@@ -795,7 +772,7 @@ def rbf_affinity(z, h, gamma: float) -> Tensor:
         gs = _unbroadcast(gd2, (k, 1)).reshape(k) + _unbroadcast(gd2, (1, k)).reshape(k)
         ggram = np.zeros_like(gram)
         ggram[idx, idx] = gs
-        ggram = (ggram + gd2 * m2) * half
+        ggram = (ggram + gd2 * -2.0) * 0.5
         ggram0 = ggram + ggram.T
         ga = ggram0 @ a + (a.T @ ggram0).T
         return _matmul_grads(z.data, h.data, ga, z.requires_grad, h.requires_grad)
@@ -848,7 +825,7 @@ def relevance(sem: Sequence, views: Sequence, rows, w_s, w_v) -> Tensor:
         if rows.size and (rows.min() < 0 or rows.max() >= bw.shape[0]):
             raise ValueError("row index out of range")
         q = bw[rows] if q is None else q + bw[rows]
-    scale = np.asarray(1.0 / len(sem), dtype=q.dtype)
+    scale = 1.0 / len(sem)
     q = q * scale
     vps = [np.matmul(v.data, w_v.data) for v in views]
     out = np.stack([_add_reduce(q * vp, axis=1) for vp in vps], axis=1)
@@ -874,7 +851,7 @@ def relevance(sem: Sequence, views: Sequence, rows, w_s, w_v) -> Tensor:
         if need_q:
             gq = gq * scale
             for i, block in enumerate(sem):
-                gbw = np.zeros((block.data.shape[0], gq.shape[1]), dtype=q.dtype)
+                gbw = np.zeros((block.data.shape[0], gq.shape[1]))
                 np.add.at(gbw, rows, gq)
                 gsem[i], c = _matmul_grads(block.data, w_s.data, gbw,
                                            block.requires_grad, w_s.requires_grad)
@@ -970,8 +947,8 @@ def residual_tower(x, blocks: Sequence, adapters: Sequence | None = None) -> Ten
     return _make(y, parents, backward, checked=True)  # unit rows of finite h
 
 
-def scalar(value, dtype=np.float64) -> Tensor:
-    return Tensor(np.asarray(value, dtype=dtype))
+def scalar(value) -> Tensor:
+    return Tensor(value)
 
 
 def checksum(arrays: Iterable[np.ndarray]) -> str:
@@ -1007,11 +984,11 @@ def grad_check(
 ) -> GradCheckReport:
     """Compare analytic gradients against central finite differences.
 
-    The finite-difference probe always runs in float64 (float32 parameters
-    are upcast for the probe and restored afterwards), so it stays a valid
-    oracle for 32-bit analytic gradients. Per-parameter error is
-    max|a - fd| / max(max|a|, max|fd|, 1): the unit floor stops roundoff
-    noise on near-zero gradients from registering as huge relative error.
+    The probe perturbs a copy of each parameter's data and puts the
+    originals back afterwards, even if ``loss_fn`` raises. Per-parameter
+    error is max|a - fd| / max(max|a|, max|fd|, 1): the unit floor stops
+    roundoff noise on near-zero gradients from registering as huge relative
+    error.
 
     ``loss_fn`` must read parameter values at call time and must not cache
     anything derived from them across calls.
@@ -1029,14 +1006,14 @@ def grad_check(
     if loss.data.size != 1:
         raise ValueError("grad_check expects a scalar loss")
     loss.backward()
-    analytic = {n: np.array(p.grad, dtype=np.float64) for n, p in named}
+    analytic = {n: p.grad.copy() for n, p in named}
 
     originals = {n: p.data for n, p in named}
     report = GradCheckReport(tol=tol)
     try:
         with no_grad():
             for _, p in named:
-                p.data = p.data.astype(np.float64)
+                p.data = p.data.copy()
             for name, p in named:
                 fd = np.zeros_like(p.data)
                 flat = p.data.ravel()

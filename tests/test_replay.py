@@ -240,6 +240,11 @@ class TestReplayLosses:
 
         assert lt.data.item() == pytest.approx(oracle(text), rel=1e-5)
         assert lv.data.item() == pytest.approx(oracle(refined), rel=1e-5)
+        # float32 draws are computed on in float64
+        lt64, lv64 = replay_losses(PseudoBatch(x.astype(np.float64), y), text,
+                                   refined, support, tau)
+        assert lt.data.tobytes() == lt64.data.tobytes()
+        assert lv.data.tobytes() == lv64.data.tobytes()
 
     def test_gradient_reaches_classifiers_not_features(self):
         rng = np.random.default_rng(22)

@@ -238,15 +238,14 @@ class TestGradCheck:
         with pytest.raises(NumericsError):
             T.grad_check(lambda: T.mul(T.tsum(T.mul(x, x)), 1e10), [x])
 
-    @pytest.mark.parametrize("dtype,tol", [(np.float32, 1e-4), (np.float64, 1e-6)])
-    def test_every_op_100_random_instances(self, dtype, tol):
+    def test_every_op_100_random_instances(self):
         """Composite touching every differentiable op in one scalar loss."""
-        rng = np.random.default_rng(int(np.dtype(dtype).itemsize))
+        rng = np.random.default_rng(8)
         for _ in range(100):
             n, d = 3, 4
-            a = T.Parameter(rng.standard_normal((n, d)).astype(dtype), name="a")
-            w = T.Parameter(rng.standard_normal((d, d)).astype(dtype), name="w")
-            v = T.Parameter(rng.standard_normal(d).astype(dtype), name="v")
+            a = T.Parameter(rng.standard_normal((n, d)), name="a")
+            w = T.Parameter(rng.standard_normal((d, d)), name="w")
+            v = T.Parameter(rng.standard_normal(d), name="v")
             t_probs = rng.random((n, n))
             t_probs /= t_probs.sum(axis=1, keepdims=True)
             ys = rng.integers(0, n, size=n)
@@ -279,7 +278,7 @@ class TestGradCheck:
                 rows2 = T.tmean(T.concat_rows([f, h]))
                 return T.add(T.add(T.add(ce, kl), picked), T.add(extra, rows2))
 
-            rep = T.grad_check(loss, [a, w, v], tol=tol)
+            rep = T.grad_check(loss, [a, w, v], tol=1e-6)
             assert rep.passed, (dict(rep.per_param), tau)
 
 
@@ -303,12 +302,13 @@ def _ffn_chain(h, w1, b1, w2, b2):
 class TestFfn:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bitwise_equals_chain(self, dtype):
+        # float32 inputs are converted on the way in: both compute in float64
         rng = np.random.default_rng(3)
         for _ in range(20):
             args = _ffn_inputs(rng, dtype)
             fused = T.ffn(*args)
             chain = _ffn_chain(*args)
-            assert fused.data.dtype == dtype
+            assert fused.data.dtype == np.float64
             assert fused.data.tobytes() == chain.data.tobytes()
 
     def test_backward_equals_chain(self):
@@ -530,11 +530,12 @@ class TestFusedOps:
     @pytest.mark.parametrize("name", sorted(FUSED_CASES))
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_forward_bitwise_equals_chain(self, name, dtype):
+        # float32 inputs are converted on the way in: both compute in float64
         rng = np.random.default_rng(21)
         for _ in range(10):
             fused, chain, _ = FUSED_CASES[name](rng, dtype)
             a, b = fused(), chain()
-            assert a.data.dtype == b.data.dtype == dtype
+            assert a.data.dtype == b.data.dtype == np.float64
             assert a.data.shape == b.data.shape
             assert a.data.tobytes() == b.data.tobytes()
 
@@ -726,11 +727,6 @@ class TestPlumbing:
         with ctx(), pytest.raises(NumericsError):
             op(x)
 
-    def test_scalar_overflowing_dtype_raises(self):
-        x = T.Parameter(np.ones(2, dtype=np.float32), name="x")
-        with pytest.warns(RuntimeWarning), pytest.raises(NumericsError):
-            T.div(x, 1e40)  # finite as a Python float, inf as float32
-
     def test_no_grad_outputs_match_graph_outputs(self):
         rng = np.random.default_rng(8)
         a = T.Parameter(rng.standard_normal((3, 4)), name="a")
@@ -753,8 +749,6 @@ class TestPlumbing:
     def test_finite_array_with_overflowing_sum_accepted(self):
         with np.errstate(over="ignore"):
             assert T.Tensor([1e308, 1e308]).data[0] == 1e308
-            big32 = np.full(2, 3e38, dtype=np.float32)
-            assert T.Tensor(big32).data.dtype == np.float32
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_raises(self, bad):
@@ -762,10 +756,6 @@ class TestPlumbing:
             for vals in ([bad], [1.0, bad, 2.0], [np.inf, -np.inf, bad]):
                 with pytest.raises(NumericsError):
                     T.Tensor(vals)
-
-    def test_float32_overflow_raises(self):
-        with np.errstate(over="ignore"), pytest.raises(NumericsError):
-            T.Tensor(np.array([1e39, 1.0]).astype(np.float32))
 
     def test_first_gradient_is_a_fresh_positive_zero_buffer(self):
         a = T.Tensor(np.ones(3), requires_grad=True)
@@ -775,10 +765,21 @@ class TestPlumbing:
         assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
         assert a.grad.tobytes() == np.array([0.0, 1.0, 0.0]).tobytes()
 
-    def test_float32_preserved_through_ops(self):
-        p = T.Parameter(np.ones(4, dtype=np.float32), name="p")
-        out = T.softmax_temp(T.mul(T.add(p, 1.0), 0.5), 2.0)
-        assert out.data.dtype == np.float32
+    def test_float32_and_int_inputs_compute_in_float64(self):
+        def ops(x):
+            return T.softmax_temp(T.mul(T.add(x, 1.0), 0.5), 2.0)
+
+        for arr in (np.linspace(0.1, 0.4, 4, dtype=np.float32), np.arange(4)):
+            want = ops(arr.astype(np.float64)).data.tobytes()
+            for leaf in (T.Tensor(arr), T.Parameter(arr, name="p")):
+                assert leaf.data.dtype == np.float64
+                assert ops(leaf).data.tobytes() == want
+        # the KL ops' teacher is the one operand that bypasses Tensor
+        t32 = np.array([[0.2, 0.3, 0.5], [0.1, 0.6, 0.3]], dtype=np.float32)
+        s = T.softmax_temp(T.Tensor([[0.1, 0.2, 0.3], [0.3, 0.1, 0.2]]), 1.0)
+        for kl, t, student in ((T.kl_div_rows, t32, s), (T.kl_div, t32[0], s.data[0])):
+            want = kl(t.astype(np.float64), student).data.tobytes()
+            assert kl(t, student).data.tobytes() == want
 
     def test_gradient_accumulates_on_reuse(self):
         x = T.Parameter([3.0], name="x")
